@@ -37,6 +37,9 @@ func (e *Engine) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Han
 		if ino.Typ == vfs.TypeDir {
 			return nil, vfs.ErrIsDir
 		}
+		if err := followFinal(path, ino); err != nil {
+			return nil, err // creat() through a symlink acts on its target
+		}
 		e.access(th, ino, true)
 		e.truncateLocked(th, ino, 0)
 		e.cfg.MetaCommit(e, th, 1)

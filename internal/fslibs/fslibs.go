@@ -287,25 +287,31 @@ func (l *Lib) Open(th *proc.Thread, path string, flags int, mode coffer.Mode) (f
 	var finalPath string
 	err = l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		var e error
-		if flags&vfs.O_CREATE != 0 && flags&vfs.O_EXCL != 0 {
-			if _, statErr := fs.Stat(th, p); statErr == nil {
-				return vfs.ErrExist
-			}
-		}
-		if flags&vfs.O_CREATE != 0 {
-			if _, statErr := fs.Stat(th, p); errors.Is(statErr, vfs.ErrNotExist) {
-				h, e = fs.Create(th, p, mode)
-				if e == nil && flags&vfs.O_TRUNC == 0 {
-					finalPath = p
-					return nil
-				}
-				if e != nil {
-					return e
-				}
-			}
-		}
-		h, e = fs.Open(th, p, flags)
 		finalPath = p
+		switch {
+		case flags&vfs.O_CREATE == 0:
+			h, e = fs.Open(th, p, flags)
+		case flags&vfs.O_TRUNC != 0 && flags&vfs.O_EXCL == 0:
+			// creat(): every µFS's Create truncates an existing file and
+			// returns a final-component symlink for re-dispatch, so one
+			// walk does what a lookup, a create and a reopen did.
+			h, e = fs.Create(th, p, mode)
+			if errors.Is(e, vfs.ErrPerm) || errors.Is(e, vfs.ErrReadOnlyCoffer) {
+				// Create needs the directory writable; truncating an
+				// existing file needs only the file writable.
+				h, e = fs.Open(th, p, flags)
+			}
+		default:
+			_, statErr := fs.Stat(th, p)
+			switch {
+			case statErr == nil && flags&vfs.O_EXCL != 0:
+				return vfs.ErrExist
+			case errors.Is(statErr, vfs.ErrNotExist):
+				h, e = fs.Create(th, p, mode)
+			default:
+				h, e = fs.Open(th, p, flags)
+			}
+		}
 		return e
 	})
 	if err != nil {

@@ -27,6 +27,9 @@ func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle,
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
+	if se := lc.linkInPrefix(rel); se != nil {
+		return nil, se
+	}
 	cl := f.window(th, lc, true)
 	defer cl()
 	if err := lc.checkParent(rel); err != nil {
@@ -35,6 +38,10 @@ func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle,
 	if old, ok := lc.index[rel]; ok {
 		if old.typ == vfs.TypeDir {
 			return nil, vfs.ErrIsDir
+		}
+		if old.typ == vfs.TypeSymlink {
+			// creat() through a symlink truncates its target, not the link.
+			return nil, &vfs.SymlinkError{Path: expand(lc.path, rel, old.target)}
 		}
 		// Truncate in place: new record with no blocks.
 		m := &meta{typ: vfs.TypeRegular, mode: old.mode, mtime: th.Clk.Now()}

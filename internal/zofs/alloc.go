@@ -7,6 +7,7 @@ import (
 
 	"zofs/internal/byteflow"
 	"zofs/internal/coffer"
+	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/retry"
@@ -161,7 +162,16 @@ func (f *FS) slotFor(th *proc.Thread, m *mount, class int) (*threadSlots, int64,
 // crash drops cached pages on the floor — they stay tagged to the coffer in
 // the allocation table but are referenced by nothing, so recovery's in-use
 // traversal reclaims them (§5.3).
-func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
+//
+// Under SetDebugPool every metadata page handed out is checked all zero.
+func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (page int64, err error) {
+	if debugPool && class == classMeta {
+		defer func() {
+			if err == nil {
+				assertZeroed(f.kern.Device(), page)
+			}
+		}()
+	}
 	// Allocator scope: lease stores, kernel grants (including their zeroing
 	// and allocation-table writes) and free-list chaining are alloc-class
 	// bytes, whatever class the caller was writing.
@@ -198,6 +208,10 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
 		if page, ok := f.popCached(th, ts, class); ok {
 			return page, nil
 		}
+		if f.drainReclaim(th, m, ts, class) {
+			page, _ := f.popCached(th, ts, class)
+			return page, nil
+		}
 		if ts.head[class] == 0 {
 			// Both lists dry: one kernel grant refills the volatile cache.
 			// Unlike pushExtents, no per-page chain stores and no persistent
@@ -227,7 +241,7 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
 		}
 		f.pushExtents(th, ts, slotOff, class, exts)
 	}
-	page := ts.head[class]
+	page = ts.head[class]
 	f.rec().Inc(telemetry.CtrZoFSPagesAlloc)
 	if debugPool {
 		debugFree.Store(page, 2)
@@ -254,6 +268,10 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
 // threads' caches (§5.3).
 func (f *FS) allocSlotless(th *proc.Thread, m *mount, ts *threadSlots, class int) (int64, error) {
 	if page, ok := f.popCached(th, ts, class); ok {
+		return page, nil
+	}
+	if f.drainReclaim(th, m, ts, class) {
+		page, _ := f.popCached(th, ts, class)
 		return page, nil
 	}
 	exts, err := f.enlarge(th, m, class)
@@ -347,20 +365,12 @@ func (f *FS) chainStore(th *proc.Thread, off int64, v uint64) {
 func (f *FS) freePage(th *proc.Thread, m *mount, class int, page int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
 	defer th.Clk.SetWriteClass(prev)
-	if debugPool {
-		if st, _ := debugFree.Load(page); st == 1 {
-			panic(fmt.Sprintf("zofs: double free of page %d (class %d)", page, class))
-		}
-		debugFree.Store(page, 1)
-	}
+	debugMarkFree(page, class)
 	if !f.opts.NoAllocBatch {
-		ts := m.threadSlotsFor(th.TID)
-		f.rec().Inc(telemetry.CtrZoFSPagesFreed)
 		if class == classMeta {
 			th.Zero(page*pageSize, pageSize)
 		}
-		th.CPU(perfmodel.CPUSmallOp)
-		ts.cache[class] = append(ts.cache[class], page)
+		f.cachePage(th, m.threadSlotsFor(th.TID), class, page)
 		return
 	}
 	ts, slotOff, err := f.slotFor(th, m, class)
@@ -378,6 +388,146 @@ func (f *FS) freePage(th *proc.Thread, m *mount, class int, page int64) {
 	th.Store64(page*pageSize, uint64(ts.head[class]))
 	th.Store64(slotOff+slotHeadOff, uint64(page))
 	ts.head[class] = page
+}
+
+// debugMarkFree records a page's return to the allocator under
+// SetDebugPool, panicking on a double free.
+func debugMarkFree(page int64, class int) {
+	if !debugPool {
+		return
+	}
+	if st, _ := debugFree.Load(page); st == 1 {
+		panic(fmt.Sprintf("zofs: double free of page %d (class %d)", page, class))
+	}
+	debugFree.Store(page, 1)
+}
+
+// cachePage pushes a freed (and, for metadata, already scrubbed) page onto
+// the thread's volatile batch cache: one append, no NVM traffic.
+func (f *FS) cachePage(th *proc.Thread, ts *threadSlots, class int, page int64) {
+	f.rec().Inc(telemetry.CtrZoFSPagesFreed)
+	th.CPU(perfmodel.CPUSmallOp)
+	ts.cache[class] = append(ts.cache[class], page)
+}
+
+// Deferred reclamation of unlinked regular files.
+//
+// Unlink (and rename-over, and the last close of an orphan) only appends
+// the inode to the thread's per-mount queue: a CPU charge, no NVM traffic.
+// The pages come back when the allocator next runs dry: allocPage drains
+// queued inodes onto the batch caches before it asks KernFS for a grant, so
+// create/unlink churn recycles its own pages instead of scrubbing kernel
+// grants. Draining reads only the live direct-pointer prefix and scrubs
+// only the inode bytes that can be non-zero. The queue is volatile, like the
+// batch caches: a crash drops it, and recovery's in-use traversal reclaims
+// the queued inodes, which no dentry references any more (§5.3).
+
+// queueReclaim releases an unlinked inode that no handle holds open. A
+// regular file goes on the deferred queue; symlink inodes (their target
+// overlaps the block map) and NoAllocBatch mounts free immediately.
+func (f *FS) queueReclaim(th *proc.Thread, m *mount, ino int64, typ uint8) {
+	switch {
+	case vfs.FileType(typ) != vfs.TypeRegular:
+		f.freePage(th, m, classMeta, ino)
+	case f.opts.NoAllocBatch:
+		f.freeFileContent(th, m, ino)
+	default:
+		th.CPU(perfmodel.CPUSmallOp)
+		ts := m.threadSlotsFor(th.TID)
+		ts.reclaim = append(ts.reclaim, ino)
+	}
+}
+
+// drainAll is the drainReclaim class that empties the whole queue.
+const drainAll = -1
+
+// drainReclaim releases queued inodes, most recent first, until the
+// thread's cache holds a page of the wanted class or the queue is empty.
+// Every inode yields a metadata page, so a metadata allocation drains at
+// most one. The caller holds the mount's write window.
+func (f *FS) drainReclaim(th *proc.Thread, m *mount, ts *threadSlots, class int) bool {
+	for len(ts.reclaim) > 0 && (class == drainAll || len(ts.cache[class]) == 0) {
+		n := len(ts.reclaim) - 1
+		ino := ts.reclaim[n]
+		ts.reclaim = ts.reclaim[:n]
+		f.releaseInode(th, m, ts, ino)
+	}
+	return class != drainAll && len(ts.cache[class]) > 0
+}
+
+// DrainReclaim releases every inode the calling thread has queued for
+// deferred reclamation, on every coffer this instance has mapped, into the
+// thread's batch caches — charged exactly as allocPage's own drain. Tools
+// and tests call it to settle pages_freed and the space report.
+func (f *FS) DrainReclaim(th *proc.Thread) {
+	f.mu.Lock()
+	mounts := make([]*mount, 0, len(f.mounts))
+	for _, m := range f.mounts {
+		mounts = append(mounts, m)
+	}
+	f.mu.Unlock()
+	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
+	defer th.Clk.SetWriteClass(prev)
+	for _, m := range mounts {
+		ts := m.threadSlotsFor(th.TID)
+		if len(ts.reclaim) == 0 {
+			continue
+		}
+		cl := f.window(th, m, true)
+		f.drainReclaim(th, m, ts, drainAll)
+		cl()
+	}
+}
+
+// releaseInode frees one queued file. Files past the direct pointers, and
+// inline files, take the full filePages path. Otherwise the file maps no
+// indirect or double-indirect page (truncateTo and writeAt's error path
+// keep that true), so only the min(blocks, inoDirectCnt) live direct
+// pointers are read, and the scrub covers exactly the bytes that can be
+// non-zero: the header and those pointer slots, then the indirect words,
+// the inline flag and — with InlineData — the inline area.
+func (f *FS) releaseInode(th *proc.Thread, m *mount, ts *threadSlots, ino int64) {
+	blocks := (f.inodeSize(th, ino) + pageSize - 1) / pageSize
+	if blocks > inoDirectCnt || f.isInline(th, ino) {
+		f.freeFileContent(th, m, ino)
+		return
+	}
+	if blocks > 0 {
+		ptrs := f.readView(th, ino*pageSize+inoDirectOff, blocks*8)
+		for i := int64(0); i < blocks; i++ {
+			if pg := int64(u64at(ptrs, int(i*8))); pg != 0 {
+				f.freePage(th, m, classData, pg)
+			}
+		}
+	}
+	if debugPool {
+		var w [16]byte
+		f.kern.Device().ReadNoCharge(ino*pageSize+inoIndirectOff, w[:])
+		if u64at(w[:], 0) != 0 || u64at(w[:], 8) != 0 {
+			panic(fmt.Sprintf("zofs: %d-block file %d maps indirect pages", blocks, ino))
+		}
+	}
+	tail := int64(inoInlineOff)
+	if f.opts.InlineData {
+		tail = pageSize
+	}
+	th.Zero(ino*pageSize, inoDirectOff+blocks*8)
+	th.Zero(ino*pageSize+inoIndirectOff, tail-inoIndirectOff)
+	debugMarkFree(ino, classMeta)
+	f.cachePage(th, ts, classMeta, ino)
+}
+
+// assertZeroed panics unless a metadata page about to be handed out is all
+// zero — the invariant every grant, scrub-on-free and deferred-reclaim
+// scrub must keep. Read uncharged: a diagnostic must not move virtual time.
+func assertZeroed(dev *nvm.Device, page int64) {
+	buf := make([]byte, pageSize)
+	dev.ReadNoCharge(page*pageSize, buf)
+	for i, b := range buf {
+		if b != 0 {
+			panic(fmt.Sprintf("zofs: metadata page %d handed out dirty (byte %d = %#x)", page, i, b))
+		}
+	}
 }
 
 // freeListPages walks every pool slot's chain and reports the pages held in

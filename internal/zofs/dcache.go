@@ -112,14 +112,16 @@ func chainKey(l1Idx, bucket int64) int64 { return 1<<32 | l1Idx<<8 | bucket }
 
 // dcacheBuild rebuilds a directory's index with one full charged scan of
 // the on-NVM structure. Caller holds idx.mu and the coffer's MPK window.
+// The index turns complete only once the scan finishes, so a fault
+// part-way leaves it non-authoritative.
 func (f *FS) dcacheBuild(th *proc.Thread, idx *dirIndex, dirIno int64, epoch uint64) {
 	readPage := func(pg int64) []byte { return f.readView(th, pg*pageSize, pageSize) }
 	idx.names = map[string]cachedDe{}
 	idx.free = map[int64][]deLoc{}
 	idx.epoch = epoch
-	idx.complete = true
 	l1 := f.dirL1Of(th, dirIno)
 	if l1 == 0 {
+		idx.complete = true
 		return
 	}
 	l1buf := readPage(l1)
@@ -146,6 +148,7 @@ func (f *FS) dcacheBuild(th *proc.Thread, idx *dirIndex, dirIno int64, epoch uin
 			}
 		}
 	}
+	idx.complete = true
 }
 
 // dcacheRecord classifies one scanned slot: live entries index by name,

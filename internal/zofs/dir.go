@@ -72,22 +72,9 @@ func (f *FS) dirLookup(th *proc.Thread, dirIno int64, name string) (dentry, deLo
 	if f.opts.NoDirCache {
 		return f.dirLookupScan(th, dirIno, name)
 	}
-	sp := f.span(th)
 	th.CPU(perfmodel.CPUHashLookup)
 	idx := f.sh.dc.dir(dirIno)
-	idx.mu.Lock()
-	cur := f.sh.dc.epoch.Load()
-	if !idx.authoritative(cur) {
-		sp.DCacheMiss()
-		idx.reset()
-		t0 := th.Clk.Now()
-		f.dcacheBuild(th, idx, dirIno, cur)
-		sp.Child("dcache.rebuild", t0, th.Clk.Now()-t0)
-	} else {
-		sp.DCacheHit()
-	}
-	c, ok := idx.names[name]
-	idx.mu.Unlock()
+	c, ok := f.indexLookup(th, idx, dirIno, name, false)
 	if !ok {
 		// Negative answer from completeness: the index holds every live
 		// dentry, so absence is authoritative.
@@ -106,18 +93,33 @@ func (f *FS) dirLookup(th *proc.Thread, dirIno int64, name string) (dentry, deLo
 		u64at(hdr, deInodeOff) == uint64(c.de.inode) {
 		return c.de, c.loc, nil
 	}
-	idx.mu.Lock()
-	sp.DCacheMiss()
-	idx.reset()
-	t0 := th.Clk.Now()
-	f.dcacheBuild(th, idx, dirIno, cur)
-	sp.Child("dcache.rebuild", t0, th.Clk.Now()-t0)
-	c, ok = idx.names[name]
-	idx.mu.Unlock()
-	if !ok {
+	if c, ok = f.indexLookup(th, idx, dirIno, name, true); !ok {
 		return dentry{}, deLoc{}, vfs.ErrNotExist
 	}
 	return c.de, c.loc, nil
+}
+
+// indexLookup answers name from a directory's index, first rebuilding the
+// index when it is not authoritative or rebuild is set. The index mutex is
+// released by defer: a fault inside the rebuild scan unwinds through here
+// with the index left incomplete, so the next lookup rebuilds it instead of
+// blocking on a wedged directory.
+func (f *FS) indexLookup(th *proc.Thread, idx *dirIndex, dirIno int64, name string, rebuild bool) (cachedDe, bool) {
+	sp := f.span(th)
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	cur := f.sh.dc.epoch.Load()
+	if rebuild || !idx.authoritative(cur) {
+		sp.DCacheMiss()
+		idx.reset()
+		t0 := th.Clk.Now()
+		f.dcacheBuild(th, idx, dirIno, cur)
+		sp.Child("dcache.rebuild", t0, th.Clk.Now()-t0)
+	} else {
+		sp.DCacheHit()
+	}
+	c, ok := idx.names[name]
+	return c, ok
 }
 
 // dirLookupScan is the cache-free lookup: the on-NVM two-level hash walk.
@@ -394,6 +396,7 @@ func (f *FS) dirRemove(th *proc.Thread, dirIno int64, name string, loc deLoc) {
 	}
 	idx := f.sh.dc.dir(dirIno)
 	idx.mu.Lock()
+	defer idx.mu.Unlock()
 	th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
 		if c, ok := idx.names[name]; ok && c.loc == loc {
@@ -403,7 +406,6 @@ func (f *FS) dirRemove(th *proc.Thread, dirIno int64, name string, loc deLoc) {
 			idx.reset()
 		}
 	}
-	idx.mu.Unlock()
 }
 
 // dirUpdateCoffer rewrites a dentry's cross-coffer reference in place:
@@ -425,6 +427,7 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 	}
 	idx := f.sh.dc.dir(dirIno)
 	idx.mu.Lock()
+	defer idx.mu.Unlock()
 	write()
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
 		if c, ok := idx.names[name]; ok && c.loc == loc {
@@ -435,7 +438,6 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 			idx.reset()
 		}
 	}
-	idx.mu.Unlock()
 }
 
 // dirScan calls fn for every live dentry; fn returns false to stop early.

@@ -108,6 +108,10 @@ type threadSlots struct {
 	// referenced by nothing persistent: a crash leaks them and recovery
 	// reclaims them as not-in-use (§5.3).
 	cache [2][]int64
+	// reclaim queues unlinked regular-file inodes whose pages have not been
+	// released yet (see drainReclaim). Volatile like cache: a crash drops
+	// it and recovery reclaims the queued inodes' pages.
+	reclaim []int64
 	// noSlotTries counts consecutive exhausted pool scans per class; it
 	// indexes the unified retry policy's backoff schedule and resets to
 	// zero once a slot is claimed.

@@ -260,6 +260,14 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 		}
 		pg, created, err := f.blockPtrForWrite(th, m, ino, idx)
 		if err != nil {
+			// Nothing past the committed size is published: unmap the
+			// blocks (and any pointer page) this call mapped there, so a
+			// file keeps no pointers beyond its size.
+			keep := (size + pageSize - 1) / pageSize
+			first := max(keep, off/pageSize)
+			if rerr := f.releaseBlocks(th, m, ino, keep, first, min(idx+1, maxBlocks)); rerr != nil {
+				return n, rerr
+			}
 			return n, err
 		}
 		if created {
@@ -350,9 +358,16 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 			th.Zero(pg*pageSize+tail, pageSize-tail)
 		}
 	}
-	firstDead := (newSize + pageSize - 1) / pageSize
-	lastIdx := (size + pageSize - 1) / pageSize
-	for idx := firstDead; idx < lastIdx; idx++ {
+	keep := (newSize + pageSize - 1) / pageSize
+	return f.releaseBlocks(th, m, ino, keep, keep, (size+pageSize-1)/pageSize)
+}
+
+// releaseBlocks frees the data pages of blocks [from, to), then every
+// pointer page that no block below keep reaches (from >= keep). The caller
+// holds the write lock and has already committed a size of at most keep
+// blocks, so a crash part-way only leaks pages, which recovery reclaims.
+func (f *FS) releaseBlocks(th *proc.Thread, m *mount, ino, keep, from, to int64) error {
+	for idx := from; idx < to; idx++ {
 		pg, err := f.blockPtr(th, m, ino, idx, false)
 		if err != nil {
 			return err
@@ -362,11 +377,47 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 			f.freePage(th, m, classData, pg)
 		}
 	}
+	f.pruneMapPages(th, m, ino, keep, to)
 	return nil
 }
 
+// pruneMapPages frees the indirect and second-level pages the first keep
+// blocks do not need, zeroing the words that named them; end bounds the
+// blocks that may have been mapped. It keeps the invariant the deferred
+// reclaim relies on: a file of at most inoDirectCnt blocks has zero
+// indirect and double-indirect words.
+func (f *FS) pruneMapPages(th *proc.Thread, m *mount, ino, keep, end int64) {
+	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
+	defer th.Clk.SetWriteClass(prev)
+	drop := func(slot int64) {
+		if pg := int64(th.Load64Cached(slot)); pg != 0 {
+			th.Store64(slot, 0)
+			f.freePage(th, m, classMeta, pg)
+		}
+	}
+	if keep <= inoDirectCnt && end > inoDirectCnt {
+		drop(ino*pageSize + inoIndirectOff)
+	}
+	const dBase = inoDirectCnt + ptrsPerPage
+	if end <= dBase || keep >= end {
+		return
+	}
+	d1 := int64(th.Load64Cached(ino*pageSize + inoDIndirOff))
+	if d1 == 0 {
+		return
+	}
+	first := max(keep-dBase+ptrsPerPage-1, 0) / ptrsPerPage
+	last := min((end-dBase+ptrsPerPage-1)/ptrsPerPage, ptrsPerPage)
+	for i := first; i < last; i++ {
+		drop(d1*pageSize + 8*i)
+	}
+	if keep <= dBase {
+		drop(ino*pageSize + inoDIndirOff)
+	}
+}
+
 // clearBlockPtr zeroes the pointer slot for a block (direct and indirect
-// levels; empty indirect pages are left in place and reclaimed by fsck).
+// levels; pruneMapPages frees pointer pages that empty out).
 func (f *FS) clearBlockPtr(th *proc.Thread, ino, idx int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
 	defer th.Clk.SetWriteClass(prev)

@@ -40,7 +40,7 @@ var _ vfs.FileSystem = (*FS)(nil)
 func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle, error) {
 	dir, base := vfs.SplitPath(path)
 	if base == "" {
-		return nil, vfs.ErrExist
+		return nil, vfs.ErrIsDir // creat("/"), as an existing directory
 	}
 	if len(base) > MaxNameLen {
 		return nil, vfs.ErrNameTooLong
@@ -128,6 +128,13 @@ func (f *FS) openExisting(th *proc.Thread, pos walkPos, de dentry, flags int, pa
 	cl := f.window(th, m, true)
 	hdr := f.readInodeHeader(th, ino)
 	typ := vfs.FileType(u32at(hdr, inoTypeOff))
+	if typ == vfs.TypeSymlink {
+		// creat() through a symlink acts on its target: hand the expansion
+		// back to the dispatcher, as walk does for every other final link.
+		target := f.readSymlink(th, ino)
+		cl()
+		return nil, &vfs.SymlinkError{Path: resolveSymlink(path, target, "")}
+	}
 	if typ == vfs.TypeDir && flags&vfs.O_ACCESS != vfs.O_RDONLY {
 		cl()
 		return nil, vfs.ErrIsDir
@@ -241,8 +248,9 @@ func (f *FS) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
 }
 
 // Unlink removes a file or symlink: the dentry kill is the atomic commit;
-// the content is freed afterwards (a crash in between leaks pages that
-// recovery reclaims — §5.3).
+// the content is released afterwards, through the deferred-reclaim queue
+// for regular files (a crash in between leaks pages that recovery reclaims
+// — §5.3).
 func (f *FS) Unlink(th *proc.Thread, path string) error {
 	dir, base := vfs.SplitPath(path)
 	if base == "" {
@@ -282,17 +290,12 @@ func (f *FS) Unlink(th *proc.Thread, path string) error {
 		return nil
 	}
 	f.dirRemove(th, pos.ino, base, loc)
-	// The dentry kill committed; content is freed outside the bucket lock
-	// so concurrent mutations in the directory proceed. If any process
+	// The dentry kill committed; content is released outside the bucket
+	// lock so concurrent mutations in the directory proceed. If any process
 	// still holds the file open, reclamation waits for the last close.
 	f.unlockDirBucket(th, bk)
-	if f.sh.orphan(de.inode, de.typ) {
-		return nil
-	}
-	if vfs.FileType(de.typ) == vfs.TypeRegular {
-		f.freeFileContent(th, pos.m, de.inode)
-	} else {
-		f.freePage(th, pos.m, classMeta, de.inode)
+	if !f.sh.orphan(de.inode, de.typ) {
+		f.queueReclaim(th, pos.m, de.inode, de.typ)
 	}
 	return nil
 }
@@ -617,10 +620,6 @@ func (h *file) Close(th *proc.Thread) error {
 		return nil // lease unobtainable; recovery reclaims the orphan
 	}
 	defer h.fs.unlockInode(th, m, h.ino, ep)
-	if vfs.FileType(typ) == vfs.TypeRegular {
-		h.fs.freeFileContent(th, m, h.ino)
-	} else {
-		h.fs.freePage(th, m, classMeta, h.ino)
-	}
+	h.fs.queueReclaim(th, m, h.ino, typ)
 	return nil
 }

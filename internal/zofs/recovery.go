@@ -393,8 +393,9 @@ func (f *FS) QuarantineIfDamaged(th *proc.Thread, id coffer.ID) (RecoverStats, b
 }
 
 // resetSlotCaches drops all volatile per-thread allocator caches for a
-// mount — both the slot handles (their NVM slots were just cleared) and the
-// batched page caches (their pages are being reclaimed by the kernel).
+// mount — the slot handles (their NVM slots were just cleared), the batched
+// page caches and the deferred-reclaim queues (their pages, referenced by
+// nothing persistent, are being reclaimed by the kernel).
 func (f *FS) resetSlotCaches(m *mount) {
 	m.slots.Range(func(k, _ any) bool {
 		m.slots.Delete(k)

@@ -81,11 +81,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 				return err
 			}
 		} else if !f.sh.orphan(old.inode, old.typ) {
-			if vfs.FileType(old.typ) == vfs.TypeRegular {
-				f.freeFileContent(th, dst.m, old.inode)
-			} else {
-				f.freePage(th, dst.m, classMeta, old.inode)
-			}
+			f.queueReclaim(th, dst.m, old.inode, old.typ)
 		}
 	}
 

@@ -95,6 +95,18 @@ func (s *shared) orphan(ino int64, typ uint8) bool {
 
 var sharedRegistry sync.Map // nvm.Device UID -> *shared
 
+// OpenInodes reports how many inodes of a device have open handles in any
+// process (tests assert that closed handles leave the table empty).
+func OpenInodes(dev *nvm.Device) int {
+	s, ok := sharedRegistry.Load(dev.UID())
+	if !ok {
+		return 0
+	}
+	n := 0
+	s.(*shared).open.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
 // ResetShared discards all volatile cross-process coordination state for a
 // device — the analogue of every process dying in a power failure. Crash
 // tests call it right after nvm.Device.Crash, before remounting; persistent

@@ -18,8 +18,9 @@ import (
 // tooling operation, not a modeled syscall.
 
 // SpaceReport returns one space row per coffer, in ascending coffer-ID
-// order. Cached counts only this FS instance's volatile batch caches; other
-// processes' caches are invisible by design (a crash would reclaim them,
+// order. Cached counts only this FS instance's volatile batch caches and
+// the pages of the inodes on its deferred-reclaim queues; other processes'
+// caches and queues are invisible by design (a crash would reclaim them,
 // §5.3) and show up in Used.
 func (f *FS) SpaceReport() []byteflow.CofferSpace {
 	dev := f.kern.Device()
@@ -53,7 +54,8 @@ func (f *FS) SpaceReport() []byteflow.CofferSpace {
 }
 
 // cachedPages sums the volatile batch caches this instance holds for a
-// coffer across all thread slots and both allocation classes.
+// coffer across all thread slots and both allocation classes, plus every
+// page its deferred-reclaim queues will release.
 func (f *FS) cachedPages(id coffer.ID) int64 {
 	f.mu.Lock()
 	m := f.mounts[id]
@@ -61,13 +63,52 @@ func (f *FS) cachedPages(id coffer.ID) int64 {
 	if m == nil {
 		return 0
 	}
+	dev := f.kern.Device()
 	var n int64
 	m.slots.Range(func(_, v any) bool {
 		ts := v.(*threadSlots)
 		n += int64(len(ts.cache[0]) + len(ts.cache[1]))
+		for _, ino := range ts.reclaim {
+			n += int64(len(queuedPages(dev, ino)))
+		}
 		return true
 	})
 	return n
+}
+
+// queuedPages lists the pages a queued inode will release — the inode page
+// and every page its block map reaches — read uncharged.
+func queuedPages(dev *nvm.Device, ino int64) []int64 {
+	load := func(off int64) int64 {
+		var w [8]byte
+		dev.ReadNoCharge(off, w[:])
+		return int64(binary.LittleEndian.Uint64(w[:]))
+	}
+	pages := []int64{ino}
+	// ptrs visits the n non-zero pointers stored from byte address off.
+	ptrs := func(off, n int64, fn func(int64)) {
+		for i := int64(0); i < n; i++ {
+			if pg := load(off + 8*i); pg != 0 {
+				fn(pg)
+			}
+		}
+	}
+	add := func(pg int64) { pages = append(pages, pg) }
+	base := ino * nvm.PageSize
+	blocks := (load(base+inoSizeOff) + nvm.PageSize - 1) / nvm.PageSize
+	ptrs(base+inoDirectOff, min(blocks, inoDirectCnt), add)
+	ptrs(base+inoIndirectOff, 1, func(ind int64) {
+		add(ind)
+		ptrs(ind*nvm.PageSize, ptrsPerPage, add)
+	})
+	ptrs(base+inoDIndirOff, 1, func(d1 int64) {
+		add(d1)
+		ptrs(d1*nvm.PageSize, ptrsPerPage, func(d2 int64) {
+			add(d2)
+			ptrs(d2*nvm.PageSize, ptrsPerPage, add)
+		})
+	})
+	return pages
 }
 
 // scanFreeLists walks every pool slot's persistent free-list chain on the
@@ -124,8 +165,9 @@ func (f *FS) WearReport() []byteflow.PageWear {
 // VerifySpace cross-checks the space accounting three ways for every
 // coffer: the kernel's volatile extent trees against the persistent
 // allocation table (kernfs.VerifySpace), then the µFS-side split — the
-// persistent free lists and this instance's batch caches must all lie
-// inside the kernel's grant, with no page in two places.
+// persistent free lists, this instance's batch caches and the pages of its
+// queued inodes must all lie inside the kernel's grant, with no page in two
+// places.
 func (f *FS) VerifySpace() error {
 	if err := f.kern.VerifySpace(); err != nil {
 		return err
@@ -159,20 +201,32 @@ func (f *FS) VerifySpace() error {
 			continue
 		}
 		var cacheErr *SpaceError
+		claim := func(pg int64, where string) bool {
+			switch {
+			case !owned[pg]:
+				cacheErr = &SpaceError{Coffer: id, Page: pg, Where: where, Problem: "outside the kernel grant"}
+			case seen[pg]:
+				cacheErr = &SpaceError{Coffer: id, Page: pg, Where: where, Problem: "also held elsewhere"}
+			default:
+				seen[pg] = true
+				return true
+			}
+			return false
+		}
 		m.slots.Range(func(_, v any) bool {
 			ts := v.(*threadSlots)
 			for class := range ts.cache {
 				for _, pg := range ts.cache[class] {
-					switch {
-					case !owned[pg]:
-						cacheErr = &SpaceError{Coffer: id, Page: pg, Where: "batch cache", Problem: "outside the kernel grant"}
-					case seen[pg]:
-						cacheErr = &SpaceError{Coffer: id, Page: pg, Where: "batch cache", Problem: "also on a free list"}
-					default:
-						seen[pg] = true
-						continue
+					if !claim(pg, "batch cache") {
+						return false
 					}
-					return false
+				}
+			}
+			for _, ino := range ts.reclaim {
+				for _, pg := range queuedPages(dev, ino) {
+					if !claim(pg, "reclaim queue") {
+						return false
+					}
 				}
 			}
 			return true
