@@ -3,11 +3,12 @@
 //
 // Usage:
 //
-//	zofs-bench [-quick] [-stats] [-threads 1,2,4,8,12,16,20] [experiment ...]
+//	zofs-bench [-quick] [-stats] [-threads 1,2,4,8,12,16,20] [-obs dir]
+//	           [-trace file] [experiment ...]
 //
 // Experiments: table1 table2 table3 table4 fig7 fig8 fig9 fig10 table7
-// fig11 table9 safety recovery crashmc hotpath spans series wa fxmark-scale
-// chaos — or "all" (the default).
+// fig11 table9 safety recovery crashmc hotpath neutral spans series wa
+// fxmark-scale chaos — or "all" (the default).
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -23,10 +23,7 @@ import (
 	"time"
 
 	"zofs/internal/harness"
-	"zofs/internal/lockprof"
 	"zofs/internal/pmemtrace"
-	"zofs/internal/series"
-	"zofs/internal/spans"
 )
 
 var experiments = []struct {
@@ -49,7 +46,8 @@ var experiments = []struct {
 	{"recovery", "coffer recovery timing", harness.RunRecovery},
 	{"crashmc", "crash-state model checker and fault injection", harness.RunCrashMC},
 	{"hotpath", "zero-copy hot path vs copy-path baseline", harness.RunHotpath},
-	{"spans", "causal-span overhead/attribution/OpenMetrics gate", harness.RunSpans},
+	{"neutral", "observer neutrality gate: every observer off vs all on, bit-identical ops and virtual ns", harness.RunNeutral},
+	{"spans", "causal-span attribution/OpenMetrics gate", harness.RunSpans},
 	{"series", "tail observatory gate: merge-exact windows, exemplars, SLO burn", harness.RunSeries},
 	{"wa", "write-amplification and byte-conservation gate", harness.RunWA},
 	{"fxmark-scale", "FxMark scalability matrix with per-lock contention attribution", harness.RunFxmarkScale},
@@ -63,10 +61,8 @@ func main() {
 	stats := flag.Bool("stats", false, "per-layer telemetry: print counter/latency tables per cell and write metrics sidecar JSON")
 	scaleGate := flag.Bool("scale-gate", false, "fxmark-scale only: widen the sweep to 64 and 512 threads and fail if ZoFS MWCL/MWRL peak before 64T or any of DWAL/MWCL/MWRL holds <50% of peak at 512T")
 	statsDir := flag.String("statsdir", "results", "directory for metrics-<experiment>-<config>.json sidecars")
-	traceFile := flag.String("trace", "", "record every NVM persistence event to this JSONL file (audit/export with zofs-trace; best with -quick and a single experiment)")
-	spansDir := flag.String("spans", "", "collect causal spans for the whole run and write spans.jsonl, spans.json and spans.prom into this directory (watch live with zofs-top)")
-	seriesDir := flag.String("series", "", "collect virtual-time windowed series for the whole run and write series.jsonl, series.prom and exemplars.jsonl into this directory (timeline in zofs-top, deltas with zofs-perfdiff)")
-	lockDir := flag.String("lockprof", "", "profile named-lock contention for the whole run and write locks.json, locks.prom and waits.jsonl into this directory (inspect with zofs-locks)")
+	traceFile := flag.String("trace", "", "record every NVM persistence event to this JSONL file (audit/export with zofs-obs trace; best with -quick and a single experiment)")
+	obsDir := flag.String("obs", "", "collect causal spans, windowed series and lock contention for the whole run and publish them into this directory (inspect with zofs-obs top, locks, diff and trace export)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Usage = func() {
@@ -109,105 +105,17 @@ func main() {
 		}()
 	}
 
-	if *spansDir != "" {
-		if err := os.MkdirAll(*spansDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-bench: -spans: %v\n", err)
-			os.Exit(1)
-		}
-		jf, err := os.Create(filepath.Join(*spansDir, "spans.jsonl"))
+	if *obsDir != "" {
+		stop, err := observe(*obsDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-bench: -spans: %v\n", err)
+			fmt.Fprintf(os.Stderr, "zofs-bench: -obs: %v\n", err)
 			os.Exit(1)
 		}
-		defer jf.Close()
-		cfg := spans.Config{JSONL: jf}
-		if *seriesDir != "" {
-			// The series feed pushes adaptive exemplar thresholds; give the
-			// shared collector worst-K rings so they have somewhere to land.
-			cfg.ExemplarK = spans.DefaultExemplarK
-		}
-		col := spans.Enable(cfg)
-		stop := spans.PublishEvery(col, *spansDir, 500*time.Millisecond)
 		defer func() {
-			stop()
-			spans.Disable()
-			if err := col.FlushSink(); err != nil {
-				fmt.Fprintf(os.Stderr, "zofs-bench: -spans sink: %v\n", err)
+			if err := stop(); err != nil {
+				fmt.Fprintf(os.Stderr, "zofs-bench: -obs: %v\n", err)
 				os.Exit(1)
 			}
-			if err := spans.Publish(col, *spansDir); err != nil {
-				fmt.Fprintf(os.Stderr, "zofs-bench: -spans: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("==== span attribution (%d spans -> %s) ====\n", col.Finished(), *spansDir)
-			col.Snapshot().WriteText(os.Stdout)
-		}()
-	}
-
-	if *seriesDir != "" {
-		if err := os.MkdirAll(*seriesDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-bench: -series: %v\n", err)
-			os.Exit(1)
-		}
-		// The series feed sharpens exemplar capture with adaptive thresholds,
-		// so make sure a span collector with exemplar rings is live — unless
-		// -spans already enabled one, in which case exemplars ride its sink.
-		if spans.Active() == nil {
-			spans.Enable(spans.Config{RingCap: -1, ExemplarK: spans.DefaultExemplarK})
-			defer spans.Disable()
-		}
-		sc := series.Enable(series.Config{})
-		stop := series.PublishEvery(sc, *seriesDir, 500*time.Millisecond)
-		dir := *seriesDir
-		defer func() {
-			stop()
-			series.Disable()
-			if err := series.Publish(sc, dir); err != nil {
-				fmt.Fprintf(os.Stderr, "zofs-bench: -series: %v\n", err)
-				os.Exit(1)
-			}
-			if col := spans.Active(); col != nil {
-				ef, err := os.Create(filepath.Join(dir, "exemplars.jsonl"))
-				if err == nil {
-					err = col.WriteExemplarsJSONL(ef)
-					if cerr := ef.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "zofs-bench: -series exemplars: %v\n", err)
-					os.Exit(1)
-				}
-			}
-			fmt.Printf("==== tail series (%d observations, %d windows -> %s) ====\n",
-				sc.Total(), len(sc.Windows()), dir)
-		}()
-	}
-
-	if *lockDir != "" {
-		if err := os.MkdirAll(*lockDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-bench: -lockprof: %v\n", err)
-			os.Exit(1)
-		}
-		reg := lockprof.Enable(lockprof.Config{})
-		// The span snapshot (and zofs-top, which renders it) carries the
-		// contention panel whenever both layers are on.
-		spans.OnLockReport(func() *lockprof.Report {
-			rep := reg.Snapshot()
-			return &rep
-		})
-		stop := lockprof.PublishEvery(reg, *lockDir, 500*time.Millisecond)
-		defer func() {
-			stop()
-			lockprof.Disable()
-			spans.OnLockReport(nil)
-			if err := lockprof.Publish(reg, *lockDir); err != nil {
-				fmt.Fprintf(os.Stderr, "zofs-bench: -lockprof: %v\n", err)
-				os.Exit(1)
-			}
-			rep := reg.Snapshot()
-			fmt.Printf("==== lock contention (%d acquires -> %s) ====\n", rep.Acquires, *lockDir)
-			rep.WriteText(os.Stdout)
 		}()
 	}
 

@@ -1,16 +1,22 @@
-// Command zofs-perfdiff compares two performance artifacts and fails on
-// statistically significant regressions — the standing perf gate between a
-// committed baseline and a fresh run.
-//
-// Usage:
-//
-//	zofs-perfdiff [-noise 0.05] [-sig 3] [-json] old new
-//	zofs-perfdiff -inject 0.2 -o out.json in.json
-//	zofs-perfdiff -validate file.prom
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"sort"
+	"strings"
+)
+
+// diff compares two performance artifacts and fails on statistically
+// significant regressions — the standing perf gate between a committed
+// baseline and a fresh run.
 //
 // old and new are each either a metrics/BENCH JSON document (any shape: the
 // differ flattens numeric leaves into labelled metrics) or a series
-// directory written by zofs-bench -series (series.jsonl), which additionally
+// directory written by zofs-bench -obs (series.jsonl), which additionally
 // yields a noise model from window-to-window variance.
 //
 // A metric regresses when it moves in its bad direction — lower for
@@ -22,66 +28,37 @@
 // -inject writes a copy of a JSON artifact with a synthetic regression of
 // the given fraction (throughput deflated, latency inflated) — the gate's
 // self-test: a differ that cannot detect a 20% regression is no gate.
-//
-// -validate parses one OpenMetrics file with the shared strict parser and
-// runs the family-appropriate invariant checks (series, lockprof or spans,
-// chosen by metric-name prefix).
-package main
-
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"math"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-
-	"zofs/internal/lockprof"
-	"zofs/internal/openmetrics"
-	"zofs/internal/series"
-	"zofs/internal/spans"
-)
-
-func main() {
-	noise := flag.Float64("noise", 0.05, "relative noise floor below which deltas are never significant")
-	sig := flag.Float64("sig", 3.0, "significance multiplier on the relative standard error (series inputs)")
-	jsonOut := flag.Bool("json", false, "emit the comparison as JSON instead of a table")
-	inject := flag.Float64("inject", 0, "write a copy of the input with a synthetic regression of this fraction (self-test)")
-	out := flag.String("o", "", "output path for -inject")
-	validate := flag.String("validate", "", "validate one OpenMetrics file (family chosen by metric prefix) and exit")
-	flag.Parse()
-
-	switch {
-	case *validate != "":
-		if err := validateFile(*validate); err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-perfdiff: %s: %v\n", *validate, err)
-			os.Exit(1)
+func cmdDiff(args []string) error {
+	fs := flags("diff")
+	noise := fs.Float64("noise", 0.05, "relative noise floor below which deltas are never significant")
+	sig := fs.Float64("sig", 3.0, "significance multiplier on the relative standard error (series inputs)")
+	jsonOut := fs.Bool("json", false, "emit the comparison as JSON instead of a table")
+	inject := fs.Float64("inject", 0, "write a copy of the input with a synthetic regression of this fraction (self-test)")
+	out := fs.String("o", "", "output path for -inject")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *inject > 0 {
+		if fs.NArg() != 1 || *out == "" {
+			return usageErr("zofs-obs diff -inject <frac> -o out.json in.json")
 		}
-		fmt.Printf("%s: OK\n", *validate)
-	case *inject > 0:
-		if flag.NArg() != 1 || *out == "" {
-			fmt.Fprintln(os.Stderr, "usage: zofs-perfdiff -inject <frac> -o out.json in.json")
-			os.Exit(2)
-		}
-		if err := injectRegression(flag.Arg(0), *out, *inject); err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-perfdiff: -inject: %v\n", err)
-			os.Exit(1)
+		if err := injectRegression(fs.Arg(0), *out, *inject); err != nil {
+			return fmt.Errorf("-inject: %v", err)
 		}
 		fmt.Printf("wrote %s with a %.0f%% synthetic regression\n", *out, *inject*100)
-	default:
-		if flag.NArg() != 2 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		code, err := diff(os.Stdout, flag.Arg(0), flag.Arg(1), *noise, *sig, *jsonOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-perfdiff: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(code)
+		return nil
 	}
+	if fs.NArg() != 2 {
+		return usageErr("zofs-obs diff [-noise f] [-sig k] [-json] old new")
+	}
+	regressions, err := diff(os.Stdout, fs.Arg(0), fs.Arg(1), *noise, *sig, *jsonOut)
+	if err != nil {
+		return err
+	}
+	if regressions > 0 {
+		return exitStatus{3, fmt.Sprintf("%d significant regression(s)", regressions)}
+	}
+	return nil
 }
 
 // metric is one flattened numeric observation with an optional noise model.
@@ -164,33 +141,24 @@ func load(path string) (map[string]metric, error) {
 	if st.IsDir() {
 		return loadSeriesDir(path)
 	}
-	raw, err := os.ReadFile(path)
+	doc, err := readJSON[any](path)
 	if err != nil {
 		return nil, err
 	}
-	var doc any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
 	m := map[string]metric{}
-	flatten("", doc, m)
+	flatten("", *doc, m)
 	if len(m) == 0 {
 		return nil, fmt.Errorf("%s: no numeric metrics found", path)
 	}
 	return m, nil
 }
 
-// loadSeriesDir turns a zofs-bench -series directory into per-op whole-run
+// loadSeriesDir turns a zofs-bench -obs directory into per-op whole-run
 // metrics with a window-to-window noise model: the relative standard error
 // of the per-window mean latency estimates how much a run's own timeline
 // wobbles, which is the natural yardstick for judging a cross-run delta.
 func loadSeriesDir(dir string) (map[string]metric, error) {
-	f, err := os.Open(filepath.Join(dir, "series.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	wins, err := series.ReadJSONL(f)
+	wins, err := loadWindows(dir, false)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
@@ -261,7 +229,9 @@ type row struct {
 	Regression bool    `json:"regression"`
 }
 
-func diff(w *os.File, oldPath, newPath string, noise, sig float64, asJSON bool) (int, error) {
+// diff compares two artifacts, writes the report and returns the number of
+// significant regressions.
+func diff(w io.Writer, oldPath, newPath string, noise, sig float64, asJSON bool) (int, error) {
 	oldM, err := load(oldPath)
 	if err != nil {
 		return 0, err
@@ -315,7 +285,7 @@ func diff(w *os.File, oldPath, newPath string, noise, sig float64, asJSON bool) 
 		}
 		fmt.Fprintf(w, "%s\n", raw)
 	} else {
-		fmt.Fprintf(w, "perfdiff %s -> %s (noise floor %.1f%%)\n", oldPath, newPath, noise*100)
+		fmt.Fprintf(w, "diff %s -> %s (noise floor %.1f%%)\n", oldPath, newPath, noise*100)
 		for _, r := range rows {
 			mark := " "
 			if r.Regression {
@@ -327,27 +297,18 @@ func diff(w *os.File, oldPath, newPath string, noise, sig float64, asJSON bool) 
 				mark, r.Metric, r.Old, r.New, r.RelDelta*100, r.Threshold*100)
 		}
 	}
-	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "zofs-perfdiff: %d significant regression(s)\n", regressions)
-		return 3, nil
-	}
-	return 0, nil
+	return regressions, nil
 }
 
 // injectRegression copies a JSON artifact, degrading every direction-carrying
 // numeric leaf by frac: throughput-like values are deflated, latency-like
 // values inflated. Used by check.sh to prove the gate trips.
 func injectRegression(in, out string, frac float64) error {
-	raw, err := os.ReadFile(in)
+	doc, err := readJSON[any](in)
 	if err != nil {
 		return err
 	}
-	var doc any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return err
-	}
-	doc = degrade("", doc, frac)
-	res, err := json.MarshalIndent(doc, "", "  ")
+	res, err := json.MarshalIndent(degrade("", *doc, frac), "", "  ")
 	if err != nil {
 		return err
 	}
@@ -376,28 +337,4 @@ func degrade(name string, v any, frac float64) any {
 		return t
 	}
 	return v
-}
-
-// validateFile picks the invariant checker by the families present in the
-// document: zofs_series_/zofs_slo_ → series, zofs_lockprof_ → lockprof,
-// anything else with zofs_ → spans.
-func validateFile(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	// The strict parse runs first either way; the family dispatch only
-	// chooses which conservation rules apply on top.
-	if _, err := openmetrics.Parse(strings.NewReader(string(raw))); err != nil {
-		return err
-	}
-	text := string(raw)
-	switch {
-	case strings.Contains(text, "zofs_series_"):
-		return series.ValidateOpenMetrics(strings.NewReader(text))
-	case strings.Contains(text, "zofs_lockprof_"):
-		return lockprof.ValidateOpenMetrics(strings.NewReader(text))
-	default:
-		return spans.ValidateOpenMetrics(strings.NewReader(text))
-	}
 }

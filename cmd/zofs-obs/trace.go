@@ -1,39 +1,7 @@
-// Command zofs-trace records, audits and exports persistence event logs
-// from the simulated NVM stack (the flight recorder in internal/pmemtrace).
-//
-// Usage:
-//
-//	zofs-trace record [-workload append|create|crash] [-system <name>|all]
-//	                  [-o trace.jsonl] [-chrome out.json] [-threads N]
-//	                  [-ops N] [-size bytes] [-fsync-every K] [-device-mb N]
-//	zofs-trace audit  [-max-lost N] <trace.jsonl>
-//	zofs-trace export [-o chrome.json] [-spans spans.jsonl] [-waits waits.jsonl]
-//	                  [-series dir] [trace.jsonl]
-//
-// record drives a small fig7-style workload against one or all of the §6
-// comparison file systems with the flight recorder on, spills every device
-// event to a JSONL log (one log per system: "-o base.jsonl" becomes
-// "base-<system>.jsonl" when recording several), appends the telemetry
-// op-trace spans, and prints the crash-consistency audit per system.
-//
-// audit replays a recorded log through the auditor: lost-update lines at
-// crash points, redundant flushes/fences, epoch shape. With -max-lost it
-// exits non-zero when more lines were lost than allowed, making it usable
-// as a CI gate.
-//
-// export converts a log to Chrome trace-event JSON for chrome://tracing or
-// Perfetto: op spans as slices, device events as instants, plus a
-// dirty-line counter track. With -spans it merges a causal-span JSONL log
-// (from zofs-bench -spans) instead: root op spans as slices with their child
-// layer spans nested inside, interleaved with the device events on the
-// shared virtual-time axis. With -series <dir> it additionally overlays the
-// tail observatory's virtual-time window boundaries and worst-op exemplar
-// slices from a zofs-bench -series directory.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -47,7 +15,6 @@ import (
 	"zofs/internal/obsfs"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
-	"zofs/internal/series"
 	"zofs/internal/spans"
 	"zofs/internal/sysfactory"
 	"zofs/internal/telemetry"
@@ -55,38 +22,42 @@ import (
 	"zofs/internal/zofs"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+// trace drives the persistence flight recorder (internal/pmemtrace); each
+// of its three commands lists its flags with -h.
+//
+// record drives a small fig7-style workload against one or all of the §6
+// comparison file systems with the flight recorder on, spills every device
+// event to a JSONL log (one log per system: "-o base.jsonl" becomes
+// "base-<system>.jsonl" when recording several), appends the telemetry
+// op-trace spans, and prints the crash-consistency audit per system.
+//
+// audit replays a recorded log through the auditor: lost-update lines at
+// crash points, redundant flushes/fences, epoch shape. With -max-lost it
+// exits non-zero when more lines were lost than allowed, making it usable
+// as a CI gate.
+//
+// export writes one Chrome trace-event timeline (chrome://tracing,
+// Perfetto) from whatever it is given: a log's device events (instants plus
+// a dirty-line counter track) and op spans, causal-span roots with their
+// child layer spans from a zofs-bench -obs spans.jsonl (these replace the
+// log's op spans), per-thread lock-wait slices from waits.jsonl, and the
+// series window boundaries and worst-op exemplars of a -obs directory.
+func cmdTrace(args []string) error {
+	if len(args) == 0 {
+		return usageErr("zofs-obs trace record|audit|export [flags]")
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "record":
-		cmdRecord(os.Args[2:])
+		return traceRecord(args[1:])
 	case "audit":
-		cmdAudit(os.Args[2:])
+		return traceAudit(args[1:])
 	case "export":
-		cmdExport(os.Args[2:])
-	default:
-		usage()
+		return traceExport(args[1:])
 	}
+	return usageErr("zofs-obs trace record|audit|export [flags]")
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: zofs-trace <command> [flags]
-
-commands:
-  record   run a workload with the flight recorder on and write a JSONL log
-  audit    replay a log through the crash-consistency auditor
-  export   convert a log to Chrome trace-event JSON`)
-	os.Exit(2)
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "zofs-trace: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// ---- record --------------------------------------------------------------
+// ---- record ---------------------------------------------------------------
 
 type recordOpts struct {
 	workload   string
@@ -98,8 +69,8 @@ type recordOpts struct {
 	image      string
 }
 
-func cmdRecord(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+func traceRecord(args []string) error {
+	fs := flags("trace record")
 	workload := fs.String("workload", "append", "append | create | crash")
 	system := fs.String("system", "all", "file system to drive, or \"all\" (the fig7 comparison set)")
 	out := fs.String("o", "trace.jsonl", "output JSONL event log (suffixed per system when recording several)")
@@ -110,15 +81,16 @@ func cmdRecord(args []string) {
 	fsyncEvery := fs.Int("fsync-every", 8, "fsync after every K appends (0 = never)")
 	deviceMB := fs.Int64("device-mb", 256, "device size in MiB")
 	image := fs.String("image", "", "crash workload only: save the post-crash device image here (feed to zofs-fsck -trace)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if fs.NArg() != 0 {
-		fs.Usage()
-		os.Exit(2)
+		return usageErr("zofs-obs trace record [flags]")
 	}
 	opts := recordOpts{workload: *workload, threads: *threads, ops: *ops,
 		size: *size, fsyncEvery: *fsyncEvery, deviceMB: *deviceMB, image: *image}
 	if *image != "" && *workload != "crash" {
-		fatal("-image is only meaningful with -workload crash")
+		return fmt.Errorf("-image is only meaningful with -workload crash")
 	}
 
 	var systems []sysfactory.System
@@ -135,30 +107,32 @@ func cmdRecord(args []string) {
 			}
 		}
 		if len(systems) == 0 {
-			fatal("unknown system %q (want one of the fig7 set or \"all\")", *system)
+			return fmt.Errorf("unknown system %q (want one of the fig7 set or \"all\")", *system)
 		}
 	}
 
 	for _, sys := range systems {
 		path := suffixed(*out, sys.Name, len(systems) > 1)
 		if err := recordOne(sys, opts, path); err != nil {
-			fatal("record %s: %v", sys.Name, err)
+			return fmt.Errorf("record %s: %v", sys.Name, err)
 		}
 		fmt.Printf("== %s -> %s ==\n", sys.Name, path)
-		events, tspans, err := loadLog(path)
+		events, ops, err := loadLog(path)
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
-		pmemtrace.Audit(events, tspans).WriteText(os.Stdout)
+		pmemtrace.Audit(events, ops).WriteText(os.Stdout)
 		if *chrome != "" {
 			cpath := suffixed(*chrome, sys.Name, len(systems) > 1)
-			if err := exportChrome(cpath, events, tspans); err != nil {
-				fatal("export %s: %v", cpath, err)
+			tl := spans.Timeline{Roots: spans.TraceRoots(ops), Events: events}
+			if err := writeFile(cpath, func(w io.Writer) error { return spans.WriteChromeTrace(w, tl) }); err != nil {
+				return fmt.Errorf("export %s: %v", cpath, err)
 			}
 			fmt.Printf("chrome trace: %s\n", cpath)
 		}
 		fmt.Println()
 	}
+	return nil
 }
 
 // suffixed inserts "-<system>" before the extension when multi is set.
@@ -316,162 +290,126 @@ func runCrashWorkload(opts recordOpts) error {
 	return nil
 }
 
-// ---- audit ---------------------------------------------------------------
+// ---- audit ----------------------------------------------------------------
 
-func cmdAudit(args []string) {
-	fs := flag.NewFlagSet("audit", flag.ExitOnError)
+func traceAudit(args []string) error {
+	fs := flags("trace audit")
 	maxLost := fs.Int("max-lost", -1, "exit non-zero if more than N lost lines are found (-1 = report only)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: zofs-trace audit [-max-lost N] <trace.jsonl>")
-		os.Exit(2)
+		return usageErr("zofs-obs trace audit [-max-lost N] <trace.jsonl>")
 	}
-	events, spans, err := loadLog(fs.Arg(0))
+	events, ops, err := loadLog(fs.Arg(0))
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
-	rep := pmemtrace.Audit(events, spans)
+	rep := pmemtrace.Audit(events, ops)
 	rep.WriteText(os.Stdout)
 	if *maxLost >= 0 && len(rep.LostLines) > *maxLost {
-		fmt.Fprintf(os.Stderr, "zofs-trace: %d lost lines exceed -max-lost %d\n", len(rep.LostLines), *maxLost)
-		os.Exit(1)
+		return fmt.Errorf("%d lost lines exceed -max-lost %d", len(rep.LostLines), *maxLost)
 	}
+	return nil
 }
 
-// ---- export --------------------------------------------------------------
+// ---- export ---------------------------------------------------------------
 
-func cmdExport(args []string) {
-	fs := flag.NewFlagSet("export", flag.ExitOnError)
+func traceExport(args []string) error {
+	fs := flags("trace export")
 	out := fs.String("o", "chrome.json", "output Chrome trace-event JSON path")
-	spanLog := fs.String("spans", "", "merge causal-span roots from this spans.jsonl (zofs-bench -spans) instead of telemetry op spans")
-	waitLog := fs.String("waits", "", "merge per-thread blocked-on lanes from this waits.jsonl (zofs-bench -lockprof)")
-	seriesDir := fs.String("series", "", "merge window boundaries and worst-op exemplars from this directory (zofs-bench -series)")
-	fs.Parse(args)
-	if fs.NArg() > 1 || (fs.NArg() == 0 && *spanLog == "") {
-		fmt.Fprintln(os.Stderr, "usage: zofs-trace export [-o chrome.json] [-spans spans.jsonl] [-waits waits.jsonl] [-series dir] [trace.jsonl]")
-		os.Exit(2)
+	spanLog := fs.String("spans", "", "causal-span roots from this spans.jsonl (zofs-bench -obs), in place of the log's op spans")
+	waitLog := fs.String("waits", "", "per-thread lock-wait slices from this waits.jsonl (zofs-bench -obs)")
+	seriesDir := fs.String("series", "", "window boundaries and worst-op exemplars from this zofs-bench -obs directory")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	var events []pmemtrace.Event
-	var tspans []telemetry.TraceEvent
-	var err error
+	if fs.NArg() > 1 || (fs.NArg() == 0 && *spanLog == "" && *waitLog == "" && *seriesDir == "") {
+		return usageErr("zofs-obs trace export [-o chrome.json] [-spans spans.jsonl] [-waits waits.jsonl] [-series dir] [trace.jsonl]")
+	}
+	var tl spans.Timeline
 	if fs.NArg() == 1 {
-		events, tspans, err = loadLog(fs.Arg(0))
+		events, ops, err := loadLog(fs.Arg(0))
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
+		tl.Events, tl.Roots = events, spans.TraceRoots(ops)
 	}
 	if *spanLog != "" {
-		roots, err := loadRoots(*spanLog)
+		roots, err := readJSONL(*spanLog, spans.ReadRootsJSONL)
 		if err != nil {
-			fatal("-spans: %v", err)
+			return fmt.Errorf("-spans: %v", err)
 		}
-		var waits []lockprof.BlockedInterval
-		if *waitLog != "" {
-			if waits, err = loadWaits(*waitLog); err != nil {
-				fatal("-waits: %v", err)
-			}
-		}
-		var marks *spans.TimelineMarks
-		if *seriesDir != "" {
-			if marks, err = loadMarks(*seriesDir); err != nil {
-				fatal("-series: %v", err)
-			}
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := spans.WriteChromeTraceMarked(f, roots, events, waits, marks); err != nil {
-			f.Close()
-			fatal("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("%v", err)
-		}
-		nw, nx := 0, 0
-		if marks != nil {
-			nw, nx = len(marks.Windows), len(marks.Exemplars)
-		}
-		fmt.Printf("wrote %s (%d events, %d causal spans, %d lock waits, %d windows, %d exemplars)\n",
-			*out, len(events), len(roots), len(waits), nw, nx)
-		return
+		tl.Roots = roots
 	}
 	if *waitLog != "" {
-		fatal("-waits requires -spans (blocked-on lanes ride on the causal-span timeline)")
+		waits, err := readJSONL(*waitLog, decodeAll[lockprof.BlockedInterval])
+		if err != nil {
+			return fmt.Errorf("-waits: %v", err)
+		}
+		tl.Waits = waits
 	}
 	if *seriesDir != "" {
-		fatal("-series requires -spans (window marks ride on the causal-span timeline)")
+		if err := loadMarks(*seriesDir, &tl); err != nil {
+			return fmt.Errorf("-series: %v", err)
+		}
 	}
-	if err := exportChrome(*out, events, tspans); err != nil {
-		fatal("%v", err)
+	if err := writeFile(*out, func(w io.Writer) error { return spans.WriteChromeTrace(w, tl) }); err != nil {
+		return err
 	}
-	fmt.Printf("wrote %s (%d events, %d spans)\n", *out, len(events), len(tspans))
+	fmt.Printf("wrote %s (%d events, %d spans, %d lock waits, %d windows, %d exemplars)\n",
+		*out, len(tl.Events), len(tl.Roots), len(tl.Waits), len(tl.Windows), len(tl.Exemplars))
+	return nil
 }
 
-func loadRoots(path string) ([]spans.Root, error) {
-	f, err := os.Open(path)
+// loadMarks adds a zofs-bench -obs directory's window boundaries
+// (series.jsonl) and worst-op exemplars (exemplars.jsonl, optional) to tl.
+func loadMarks(dir string, tl *spans.Timeline) error {
+	wins, err := loadWindows(dir, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	return spans.ReadRootsJSONL(f)
-}
-
-// loadMarks reads a zofs-bench -series directory: window boundaries from
-// series.jsonl, worst-op exemplars from exemplars.jsonl (optional).
-func loadMarks(dir string) (*spans.TimelineMarks, error) {
-	sf, err := os.Open(filepath.Join(dir, "series.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	defer sf.Close()
-	wins, err := series.ReadJSONL(sf)
-	if err != nil {
-		return nil, err
-	}
-	marks := &spans.TimelineMarks{}
 	for _, w := range wins {
 		m := spans.WindowMark{Index: w.Index, StartNS: w.StartNS}
 		for _, ow := range w.Ops {
 			m.Ops += ow.Count
 		}
-		marks.Windows = append(marks.Windows, m)
+		tl.Windows = append(tl.Windows, m)
 	}
-	ef, err := os.Open(filepath.Join(dir, "exemplars.jsonl"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return marks, nil
-		}
-		return nil, err
+	tl.Exemplars, err = readJSONL(filepath.Join(dir, "exemplars.jsonl"), spans.ReadExemplarsJSONL)
+	if os.IsNotExist(err) {
+		return nil
 	}
-	defer ef.Close()
-	if marks.Exemplars, err = spans.ReadExemplarsJSONL(ef); err != nil {
-		return nil, err
-	}
-	return marks, nil
+	return err
 }
 
-func loadWaits(path string) ([]lockprof.BlockedInterval, error) {
+// ---- shared ---------------------------------------------------------------
+
+// readJSONL opens path and parses it with read.
+func readJSONL[T any](path string, read func(io.Reader) ([]T, error)) ([]T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var waits []lockprof.BlockedInterval
-	dec := json.NewDecoder(f)
+	return read(f)
+}
+
+// decodeAll reads a stream of JSON values, one T each.
+func decodeAll[T any](r io.Reader) ([]T, error) {
+	var out []T
+	dec := json.NewDecoder(r)
 	for {
-		var b lockprof.BlockedInterval
-		if err := dec.Decode(&b); err != nil {
+		var v T
+		if err := dec.Decode(&v); err != nil {
 			if err == io.EOF {
-				return waits, nil
+				return out, nil
 			}
 			return nil, err
 		}
-		waits = append(waits, b)
+		out = append(out, v)
 	}
 }
-
-// ---- shared --------------------------------------------------------------
 
 func loadLog(path string) ([]pmemtrace.Event, []telemetry.TraceEvent, error) {
 	f, err := os.Open(path)
@@ -480,16 +418,4 @@ func loadLog(path string) ([]pmemtrace.Event, []telemetry.TraceEvent, error) {
 	}
 	defer f.Close()
 	return pmemtrace.ReadJSONL(f)
-}
-
-func exportChrome(path string, events []pmemtrace.Event, spans []telemetry.TraceEvent) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pmemtrace.WriteChromeTrace(f, events, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

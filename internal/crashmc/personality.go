@@ -44,7 +44,7 @@ func lookup(name string) (*personality, error) {
 	case "ZoFS-inline":
 		return zofsPersonality(name, zofs.Options{InlineData: true}), nil
 	case "ZoFS-copypath":
-		return zofsPersonality(name, zofs.Options{NoZeroCopy: true, NoDirCache: true, NoAllocBatch: true}), nil
+		return zofsPersonality(name, zofs.Options{CopyPath: true}), nil
 	case "Ext4-DAX":
 		return baselinePersonality(name, func(d *nvm.Device) vfs.FileSystem {
 			return baselines.NewExt4DAX(d)

@@ -27,12 +27,7 @@ import (
 // recorded, before/after with speedups, in BENCH_hotpath.json.
 func RunHotpath(w io.Writer, opts Options) error {
 	opts.fill()
-	// Enough names in one directory that some buckets overflow into chain
-	// pages (inline capacity is 16 dentries per first-level slot).
-	n := 12288
-	if opts.Quick {
-		n = 4096
-	}
+	n := hotpathFiles(opts)
 	cells := []string{"create", "lookup", "read4k"}
 	base, err := hotpathRun(sysfactory.ZoFSCopyPath, opts, n)
 	if err != nil {
@@ -68,9 +63,10 @@ func RunHotpath(w io.Writer, opts Options) error {
 		Quick:      opts.Quick,
 	}
 	for _, c := range cells {
-		sp := opt[c] / base[c]
-		fmt.Fprintf(t, "%s\t%.1f\t%.1f\t%.2fx\n", c, base[c], opt[c], sp)
-		out.Cells = append(out.Cells, cellOut{Cell: c, BaselineKops: round1(base[c]), OptimizedKops: round1(opt[c]), Speedup: round2(sp)})
+		b, o := base[c].kops(), opt[c].kops()
+		sp := o / b
+		fmt.Fprintf(t, "%s\t%.1f\t%.1f\t%.2fx\n", c, b, o, sp)
+		out.Cells = append(out.Cells, cellOut{Cell: c, BaselineKops: round1(b), OptimizedKops: round1(o), Speedup: round2(sp)})
 	}
 	if err := t.Flush(); err != nil {
 		return err
@@ -86,12 +82,31 @@ func RunHotpath(w io.Writer, opts Options) error {
 	return nil
 }
 
+// hotpathFiles is the hot-path cells' file count: enough names in one
+// directory that some buckets overflow into chain pages (inline capacity is
+// 16 dentries per first-level slot).
+func hotpathFiles(opts Options) int {
+	if opts.Quick {
+		return 4096
+	}
+	return 12288
+}
+
 func round1(v float64) float64 { return float64(int64(v*10+0.5)) / 10 }
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
-// hotpathRun runs all three cells on one fresh instance and returns
-// simulated kops/s per cell.
-func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64, error) {
+// cellCost is one cell's integer outcome: operations completed and the
+// virtual nanoseconds they took.
+type cellCost struct {
+	Ops       int64
+	VirtualNS int64
+}
+
+// kops is the cell's simulated throughput in kops/s.
+func (c cellCost) kops() float64 { return float64(c.Ops) / float64(c.VirtualNS) * 1e6 }
+
+// hotpathRun runs all three cells on one fresh instance.
+func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]cellCost, error) {
 	in, err := sys.New(opts.DeviceBytes)
 	if err != nil {
 		return nil, err
@@ -104,7 +119,7 @@ func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64,
 // rec, when non-nil, receives per-op telemetry from the obsfs wrap — the
 // series gate passes one so the cumulative histograms and the windowed
 // series observe the identical op stream.
-func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[string]float64, error) {
+func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[string]cellCost, error) {
 	th := in.Proc.NewThread()
 	// With span collection active the wrapper opens a root span per op; with
 	// everything off (and no telemetry recorder passed) this returns in.FS
@@ -117,10 +132,10 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 	for i := range names {
 		names[i] = fmt.Sprintf("/hot/f-%06d", i)
 	}
-	kops := func(ops int, vns int64) float64 {
-		return float64(ops) / float64(vns) * 1e6
+	since := func(start int64) cellCost {
+		return cellCost{Ops: int64(n), VirtualNS: th.Clk.Now() - start}
 	}
-	res := map[string]float64{}
+	res := map[string]cellCost{}
 
 	// Cell 1: small-file create.
 	start := th.Clk.Now()
@@ -131,7 +146,7 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 		}
 		h.Close(th)
 	}
-	res["create"] = kops(n, th.Clk.Now()-start)
+	res["create"] = since(start)
 
 	// Populate 4KB of content for the read cell (untimed).
 	buf := make([]byte, 4096)
@@ -154,7 +169,7 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 			return nil, err
 		}
 	}
-	res["lookup"] = kops(n, th.Clk.Now()-start)
+	res["lookup"] = since(start)
 
 	// Cell 3: open + 4KB read + close.
 	start = th.Clk.Now()
@@ -168,6 +183,6 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 		}
 		h.Close(th)
 	}
-	res["read4k"] = kops(n, th.Clk.Now()-start)
+	res["read4k"] = since(start)
 	return res, nil
 }

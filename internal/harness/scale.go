@@ -159,15 +159,13 @@ func round3(f float64) float64 { return math.Round(f*1000) / 1000 }
 // the concurrency observatory's self-asserted gates.
 //
 // Gates (all hard failures):
-//  1. Bit-identical virtual time: a deterministic 1-thread cell run with the
-//     lock profiler off and on must agree on Ops and VirtualNS exactly —
-//     profiling observes clocks, it never advances them. The derived
-//     "disabled overhead" on simulated throughput is asserted < 2% (it is
-//     exactly 0), mirroring the spans gate.
-//  2. Cross-check invariant: the spans layer's aggregate lock_wait counter
+//  1. Cross-check invariant: the spans layer's aggregate lock_wait counter
 //     and the lock profiler's per-lock wait sum are two views of the same
 //     Clock.drainTo calls, so on a contended cell they must be EQUAL to the
 //     nanosecond, and nonzero.
+//  2. With -scale-gate, the kernfs.big regression gate below.
+//
+// That profiling leaves 1-thread cells bit-identical is RunNeutral's gate.
 //
 // The sweep then runs each (system, workload, threads) cell on a fresh
 // instance with a freshly reset registry, snapshots the top contended
@@ -235,45 +233,15 @@ func RunFxmarkScale(w io.Writer, opts Options) error {
 		lockprof.Install(prevLock)
 		spans.Install(prevSpans)
 	}()
-	spans.Disable()
 
 	var failures []string
 	var gates []string
-	gateNS := opts.TargetNS
 
-	// Gate 1: bit-identical virtual time, profiler off vs on.
-	for _, wl := range []fxmark.Workload{fxmark.DWOL, fxmark.MWCL} {
-		lockprof.Disable()
-		off, err := scaleCell(sysfactory.ZoFS, wl, 1, gateNS, opts.DeviceBytes)
-		if err != nil {
-			return fmt.Errorf("fxmark-scale gate (%s, profiler off): %w", wl, err)
-		}
-		lockprof.Enable(lockprof.Config{})
-		on, err := scaleCell(sysfactory.ZoFS, wl, 1, gateNS, opts.DeviceBytes)
-		if err != nil {
-			return fmt.Errorf("fxmark-scale gate (%s, profiler on): %w", wl, err)
-		}
-		if off.Ops != on.Ops || off.VirtualNS != on.VirtualNS {
-			failures = append(failures, fmt.Sprintf(
-				"%s 1T not bit-identical: off ops=%d vns=%d, on ops=%d vns=%d",
-				wl, off.Ops, off.VirtualNS, on.Ops, on.VirtualNS))
-			continue
-		}
-		delta := math.Abs(on.MopsPerSec-off.MopsPerSec) / off.MopsPerSec * 100
-		if delta > 2.0 {
-			failures = append(failures, fmt.Sprintf("%s 1T simulated overhead %.3f%% (> 2%%)", wl, delta))
-			continue
-		}
-		gates = append(gates, fmt.Sprintf(
-			"bit-identical %s 1T: ops=%d virtual_ns=%d with profiler off and on (overhead %.3f%%)",
-			wl, on.Ops, on.VirtualNS, delta))
-	}
-
-	// Gate 2: spans lock_wait == lockprof wait sum, exactly, on a cell with
+	// Gate 1: spans lock_wait == lockprof wait sum, exactly, on a cell with
 	// guaranteed contention (shared-file overwrites).
 	reg := lockprof.Enable(lockprof.Config{})
 	scol := spans.Enable(spans.Config{})
-	xr, err := scaleCell(sysfactory.ZoFS, fxmark.DWOM, 4, gateNS, opts.DeviceBytes)
+	xr, err := scaleCell(sysfactory.ZoFS, fxmark.DWOM, 4, opts.TargetNS, opts.DeviceBytes)
 	spans.Disable()
 	if err != nil {
 		return fmt.Errorf("fxmark-scale cross-check cell: %w", err)
@@ -351,7 +319,7 @@ func RunFxmarkScale(w io.Writer, opts Options) error {
 		return err
 	}
 
-	// Gate 3 (opt-in, -scale-gate): the kernfs.big regression gate. These
+	// Gate 2 (opt-in, -scale-gate): the kernfs.big regression gate. These
 	// three workloads collapsed under the old global kernel-agent mutex
 	// (DWAL peaked at 4T, MWRL at 32T, both losing >90% of peak by 512T).
 	// The metadata-bound curves (MWCL/MWRL) must now keep climbing to at

@@ -10,14 +10,15 @@ import (
 )
 
 // TestRunFxmarkScale runs the scalability matrix at tiny size and checks the
-// observatory's gates held (they are hard errors inside the run), the curves
-// carry fits, and the artifact is well-formed.
+// observatory's cross-check gate held (it is a hard error inside the run),
+// the curves carry fits, and the artifact is well-formed. That the profiler
+// leaves 1-thread cells bit-identical is TestRunNeutral's property.
 func TestRunFxmarkScale(t *testing.T) {
 	t.Chdir(t.TempDir())
 	runAndCheck(t, "fxmark-scale", func() (*bytes.Buffer, error) {
 		var b bytes.Buffer
 		return &b, harness.RunFxmarkScale(&b, tiny())
-	}, "gate ok: bit-identical", "gate ok: cross-check", "wrote BENCH_fxmark_scale.json")
+	}, "gate ok: cross-check", "wrote BENCH_fxmark_scale.json")
 
 	blob, err := os.ReadFile("BENCH_fxmark_scale.json")
 	if err != nil {
@@ -27,8 +28,8 @@ func TestRunFxmarkScale(t *testing.T) {
 	if err := json.Unmarshal(blob, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Gates) != 3 {
-		t.Fatalf("want 3 gate records, got %+v", out.Gates)
+	if len(out.Gates) != 1 {
+		t.Fatalf("want 1 gate record, got %+v", out.Gates)
 	}
 	if len(out.Curves) != 6 { // quick: 2 systems x 3 workloads
 		t.Fatalf("want 6 curves, got %d", len(out.Curves))

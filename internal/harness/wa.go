@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -26,9 +25,8 @@ import (
 //  2. Flow ordering on write cells: media >= issued >= app. The FS never
 //     issues fewer bytes than the app handed it, and every issued byte
 //     reaches media (nt-stores directly, cached stores via flushed lines).
-//  3. Zero virtual-time overhead: accounting observes clocks, it never
-//     advances them, so ZoFS hot-path throughput with accounting enabled
-//     must agree with accounting disabled within 2%.
+//
+// That accounting leaves virtual time untouched is RunNeutral's gate.
 //
 // The per-cell WA table (ZoFS, ZoFS-copypath and the baselines) is printed
 // and recorded in BENCH_wa.json — the command-line answer to "how many
@@ -56,11 +54,10 @@ func RunWA(w io.Writer, opts Options) error {
 		ByClass     map[string]int64 `json:"issued_by_class"`
 	}
 	out := struct {
-		Experiment  string    `json:"experiment"`
-		Files       int       `json:"files"`
-		Quick       bool      `json:"quick"`
-		OverheadPct float64   `json:"accounting_overhead_pct"`
-		Cells       []cellOut `json:"cells"`
+		Experiment string    `json:"experiment"`
+		Files      int       `json:"files"`
+		Quick      bool      `json:"quick"`
+		Cells      []cellOut `json:"cells"`
 	}{Experiment: "wa", Files: n, Quick: opts.Quick}
 
 	var failures []string
@@ -103,29 +100,6 @@ func RunWA(w io.Writer, opts Options) error {
 		return err
 	}
 
-	// Overhead gate: accounting observes virtual clocks, never advances
-	// them, so simulated throughput must be identical modulo formatting.
-	base, err := waHotRun(opts, false)
-	if err != nil {
-		return fmt.Errorf("wa overhead baseline: %w", err)
-	}
-	inst, err := waHotRun(opts, true)
-	if err != nil {
-		return fmt.Errorf("wa overhead instrumented: %w", err)
-	}
-	var worst float64
-	for c := range base {
-		delta := math.Abs(inst[c]-base[c]) / base[c] * 100
-		if delta > worst {
-			worst = delta
-		}
-		if delta > 2.0 {
-			failures = append(failures, fmt.Sprintf("overhead cell %s: accounting-on throughput deviates %.3f%% (> 2%%)", c, delta))
-		}
-	}
-	out.OverheadPct = round2(worst)
-	fmt.Fprintf(w, "\naccounting overhead (simulated throughput delta): %.3f%%\n", worst)
-
 	blob, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err
@@ -137,7 +111,7 @@ func RunWA(w io.Writer, opts Options) error {
 	if len(failures) > 0 {
 		return fmt.Errorf("wa gate failed:\n  %s", strings.Join(failures, "\n  "))
 	}
-	fmt.Fprintln(w, "wa gate: conservation, flow ordering and overhead checks passed")
+	fmt.Fprintln(w, "wa gate: conservation and flow ordering checks passed")
 	return nil
 }
 
@@ -275,20 +249,4 @@ func waCell(sys sysfactory.System, opts Options, wl waWorkload, n int) (*byteflo
 		return nil, err
 	}
 	return in.Dev.FlowSnapshot(), nil
-}
-
-// waHotRun measures the ZoFS hot-path cells with accounting off or on.
-func waHotRun(opts Options, enable bool) (map[string]float64, error) {
-	n := 4096
-	if opts.Quick {
-		n = 1024
-	}
-	in, err := sysfactory.ZoFS.New(opts.DeviceBytes)
-	if err != nil {
-		return nil, err
-	}
-	if enable {
-		in.Dev.EnableAccounting()
-	}
-	return hotpathRunOn(in, nil, n)
 }

@@ -314,6 +314,10 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 	}
 	allocPage := int64(binary.LittleEndian.Uint64(sb[sbAllocPageOff:]))
 	pathPage := int64(binary.LittleEndian.Uint64(sb[sbPathPageOff:]))
+	if !tableFits(allocPage, allocTableBytes(npages), npages) || !tableFits(pathPage, pathTabBytes(), npages) {
+		return nil, fmt.Errorf("%w: superblock tables (alloc page %d, path page %d) outside the %d-page device",
+			ErrInvalid, allocPage, pathPage, npages)
+	}
 
 	k := &KernFS{
 		dev:        dev,
@@ -334,14 +338,23 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 	// Materialize coffer infos from root pages.
 	buf := make([]byte, nvm.PageSize)
 	for path, id := range k.paths.all() {
+		if id == 0 || int64(id) >= npages {
+			return nil, fmt.Errorf("%w: path %q maps to coffer %d outside the device", ErrInvalid, path, id)
+		}
 		dev.ReadNoCharge(int64(id)*nvm.PageSize, buf)
 		rp, err := coffer.DecodeRootPage(buf)
 		if err != nil {
-			return nil, fmt.Errorf("kernfs: coffer %d (%s): %v", id, path, err)
+			return nil, fmt.Errorf("%w: coffer %d (%s): %v", ErrInvalid, id, path, err)
 		}
 		k.coffers.Store(id, newCofferInfo(*rp))
 	}
 	return k, nil
+}
+
+// tableFits reports whether a table of n bytes starting at page start lies
+// inside an npages-page device, past the superblock.
+func tableFits(start, n, npages int64) bool {
+	return start >= 1 && start < npages && n <= (npages-start)*nvm.PageSize
 }
 
 // Device returns the underlying NVM device.

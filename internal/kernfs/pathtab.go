@@ -139,25 +139,40 @@ func (pt *pathTable) init(clk *simclock.Clock) {
 	pt.publish()
 }
 
-// load rebuilds the volatile map by walking every bucket chain.
+// load rebuilds the volatile map by walking every bucket chain. The table
+// is untrusted input: a page pointer outside the device, a chain longer
+// than the device (a cycle) or an entry running off its page is ErrInvalid.
 func (pt *pathTable) load(clk *simclock.Clock) error {
 	pt.vol = map[string]coffer.ID{}
 	page := make([]byte, nvm.PageSize)
+	npages := pt.dev.Pages()
+	// Entry pages are distinct device pages, so all chains together visit
+	// fewer than npages of them.
+	visited := int64(0)
 	for b := int64(0); b < pathBuckets; b++ {
 		for pg := pt.bucketHead(clk, b); pg != 0; {
+			if pg < 1 || pg >= npages {
+				return fmt.Errorf("%w: path-table bucket %d points at page %d outside the device", ErrInvalid, b, pg)
+			}
+			if visited++; visited >= npages {
+				return fmt.Errorf("%w: path-table chains loop (bucket %d)", ErrInvalid, b)
+			}
 			pt.dev.Read(clk, pg*nvm.PageSize, page)
 			next := int64(binary.LittleEndian.Uint64(page[0:]))
 			used := int64(binary.LittleEndian.Uint16(page[8:]))
 			if used > entryPageUsable {
-				return fmt.Errorf("kernfs: corrupt path-table page %d (used %d)", pg, used)
+				return fmt.Errorf("%w: corrupt path-table page %d (used %d)", ErrInvalid, pg, used)
 			}
 			for off := int64(entryPageHdr); off < entryPageHdr+used; {
+				if off+entryHdr > int64(nvm.PageSize) {
+					return fmt.Errorf("%w: corrupt path-table entry at page %d off %d", ErrInvalid, pg, off)
+				}
 				id := coffer.ID(binary.LittleEndian.Uint32(page[off+8:]))
 				state := page[off+12]
 				plen := int(binary.LittleEndian.Uint16(page[off+13:]))
 				sz := entrySize(plen)
 				if off+sz > int64(nvm.PageSize) {
-					return fmt.Errorf("kernfs: corrupt path-table entry at page %d off %d", pg, off)
+					return fmt.Errorf("%w: corrupt path-table entry at page %d off %d", ErrInvalid, pg, off)
 				}
 				if state == entryLive {
 					pt.vol[string(page[off+entryHdr:off+entryHdr+int64(plen)])] = id

@@ -8,13 +8,16 @@
 //
 // Like spans and byteflow, the profiler observes virtual clocks but never
 // advances them: enabled-mode virtual time is bit-identical to a profiler-
-// free run (the fxmark-scale gate asserts this), and the disabled fast path
-// is one atomic load and a branch per acquire.
+// free run (the `neutral` gate experiment asserts this), and the disabled
+// fast path is one atomic load and a branch per acquire.
 //
 // Threads opt in via a ThreadState riding the clock's LockState slot
 // (attached by proc.NewThread when a registry is active). Lock sites with a
 // nil clock or an unattached thread take the uninstrumented path, so setup
 // code costs nothing and sees nothing.
+//
+// zofs-bench -obs publishes the report (locks.json, locks.prom) and the
+// blocked intervals (waits.jsonl); zofs-obs locks renders them.
 package lockprof
 
 import (

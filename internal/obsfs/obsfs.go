@@ -47,8 +47,8 @@ type spacer interface{ SpaceReport() []byteflow.CofferSpace }
 // returns fs unchanged — no wrapping cost when observability is off.
 //
 // When both spans and byte-flow accounting are live, the wrap also
-// registers the snapshot enricher: published span snapshots (zofs-top's
-// feed) carry this instance's byte-flow and coffer-space panels.
+// registers the snapshot enricher: published span snapshots (zofs-obs
+// top's feed) carry this instance's byte-flow and coffer-space panels.
 func Wrap(fs vfs.FileSystem, rec *telemetry.Recorder) vfs.FileSystem {
 	var dev *nvm.Device
 	if d, ok := fs.(deviced); ok {

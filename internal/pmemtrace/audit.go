@@ -104,6 +104,33 @@ type devLine struct {
 	line int64
 }
 
+// DirtyLines is the set of lines stored but not yet persisted, replayed one
+// event at a time with the auditor's transitions (the Chrome exporter's
+// dirty_lines counter track).
+type DirtyLines map[devLine]bool
+
+// Apply moves the set across one event.
+func (d DirtyLines) Apply(ev Event) {
+	switch ev.Kind {
+	case KindStore:
+		first := ev.Off / LineSize * LineSize
+		for lo := first; lo < ev.Off+ev.Len; lo += LineSize {
+			d[devLine{ev.Dev, lo}] = true
+		}
+	case KindNTStore, KindStore64, KindCAS, KindZero, KindFlush:
+		first := ev.Off / LineSize * LineSize
+		for lo := first; lo < ev.Off+ev.Len; lo += LineSize {
+			delete(d, devLine{ev.Dev, lo})
+		}
+	case KindCrash:
+		for k := range d {
+			if k.dev == ev.Dev {
+				delete(d, k)
+			}
+		}
+	}
+}
+
 // Audit replays an event stream through the persistence model and reports
 // lost-update risks, redundant persistence work and epoch shape. spans, when
 // non-nil, are telemetry op-trace events used to attribute findings to file

@@ -11,12 +11,13 @@ import (
 
 	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
+	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fixedStream is a deterministic event/span pair used by the export tests.
+// fixedStream is a deterministic event/op-span pair used by the export tests.
 func fixedStream() ([]pmemtrace.Event, []telemetry.TraceEvent) {
 	events := []pmemtrace.Event{
 		{Seq: 1, TS: 1000, Kind: pmemtrace.KindStore, Off: 4096, Len: 64, TID: 1, Key: 2},
@@ -29,19 +30,21 @@ func fixedStream() ([]pmemtrace.Event, []telemetry.TraceEvent) {
 		{Seq: 8, TS: 5000, Kind: pmemtrace.KindCrashInject, Len: 4, TID: -1, Key: -1},
 		{Seq: 9, TS: 0, Kind: pmemtrace.KindCrash, Len: 1, TID: -1, Key: -1},
 	}
-	spans := []telemetry.TraceEvent{
+	ops := []telemetry.TraceEvent{
 		{TID: 1, Op: "zofs.append", Start: 900, Dur: 1200},
 		{TID: 2, Op: "zofs.create", Start: 2400, Dur: 1200},
 	}
-	return events, spans
+	return events, ops
 }
 
-// TestChromeGolden pins the exporter's exact output: stable field ordering
+// TestChromeGolden pins the Chrome exporter's exact output for a
+// flight-recorder log: telemetry op spans as childless roots, device events
+// as instants and the dirty-line counter track, with stable field ordering
 // and a well-formed JSON array.
 func TestChromeGolden(t *testing.T) {
-	events, spans := fixedStream()
+	events, ops := fixedStream()
 	var buf bytes.Buffer
-	if err := pmemtrace.WriteChromeTrace(&buf, events, spans); err != nil {
+	if err := spans.WriteChromeTrace(&buf, spans.Timeline{Roots: spans.TraceRoots(ops), Events: events}); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_golden.json")
@@ -79,7 +82,7 @@ func TestChromeGolden(t *testing.T) {
 // TestChromeEmpty checks the zero-event corner is still a valid array.
 func TestChromeEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := pmemtrace.WriteChromeTrace(&buf, nil, nil); err != nil {
+	if err := spans.WriteChromeTrace(&buf, spans.Timeline{}); err != nil {
 		t.Fatal(err)
 	}
 	var arr []any
@@ -102,8 +105,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := r.FlushSpill(); err != nil {
 		t.Fatal(err)
 	}
-	spans := []telemetry.TraceEvent{{TID: 9, Op: "zofs.write", Start: 100, Dur: 50}}
-	if err := pmemtrace.WriteSpansJSONL(&spill, spans); err != nil {
+	ops := []telemetry.TraceEvent{{TID: 9, Op: "zofs.write", Start: 100, Dur: 50}}
+	if err := pmemtrace.WriteSpansJSONL(&spill, ops); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,17 +117,17 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotEvents, r.Events()) {
 		t.Fatalf("events round-trip mismatch:\ngot  %+v\nwant %+v", gotEvents, r.Events())
 	}
-	if !reflect.DeepEqual(gotSpans, spans) {
-		t.Fatalf("spans round-trip mismatch:\ngot  %+v\nwant %+v", gotSpans, spans)
+	if !reflect.DeepEqual(gotSpans, ops) {
+		t.Fatalf("spans round-trip mismatch:\ngot  %+v\nwant %+v", gotSpans, ops)
 	}
 }
 
 // TestWriteJSONLWhole exercises the one-shot writer used by tools that hold
 // the whole stream in memory.
 func TestWriteJSONLWhole(t *testing.T) {
-	events, spans := fixedStream()
+	events, ops := fixedStream()
 	var buf bytes.Buffer
-	if err := pmemtrace.WriteJSONL(&buf, events, spans); err != nil {
+	if err := pmemtrace.WriteJSONL(&buf, events, ops); err != nil {
 		t.Fatal(err)
 	}
 	gotEvents, gotSpans, err := pmemtrace.ReadJSONL(&buf)
@@ -134,7 +137,7 @@ func TestWriteJSONLWhole(t *testing.T) {
 	if !reflect.DeepEqual(gotEvents, events) {
 		t.Fatalf("events mismatch:\ngot  %+v\nwant %+v", gotEvents, events)
 	}
-	if !reflect.DeepEqual(gotSpans, spans) {
-		t.Fatalf("spans mismatch:\ngot  %+v\nwant %+v", gotSpans, spans)
+	if !reflect.DeepEqual(gotSpans, ops) {
+		t.Fatalf("spans mismatch:\ngot  %+v\nwant %+v", gotSpans, ops)
 	}
 }

@@ -2,25 +2,19 @@ package series
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
-	"time"
 
 	"zofs/internal/openmetrics"
 )
 
-// Publishing: zofs-bench -series writes the windowed view into a directory
-// as series.jsonl (one Window per line, self-describing — every line carries
-// the window index, start and width) and series.prom (the OpenMetrics
-// rendering of the merged view plus last-window gauges and SLO burn).
-// Files are written to a temp name and renamed so a reader never observes a
-// half-written document.
+// Renderings: zofs-bench -obs publishes the windowed view as series.jsonl
+// (one Window per line, self-describing — every line carries the window
+// index, start and width) and series.prom (the OpenMetrics rendering of the
+// merged view plus last-window gauges and SLO burn).
 
 // WriteJSONL renders every retained window as one JSON line, ascending by
 // virtual time.
@@ -179,55 +173,4 @@ func ValidateOpenMetrics(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// Publish writes the collector's current state into dir as series.jsonl and
-// series.prom, each atomically (temp file + rename).
-func Publish(c *Collector, dir string) error {
-	var jl bytes.Buffer
-	if err := c.WriteJSONL(&jl); err != nil {
-		return err
-	}
-	if err := writeAtomic(filepath.Join(dir, "series.jsonl"), jl.Bytes()); err != nil {
-		return err
-	}
-	var om bytes.Buffer
-	if err := c.WriteOpenMetrics(&om); err != nil {
-		return err
-	}
-	return writeAtomic(filepath.Join(dir, "series.prom"), om.Bytes())
-}
-
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// PublishEvery republishes on an interval until the returned stop function
-// is called (no final write — callers do a last Publish themselves once
-// collection has stopped). Mid-run publish errors are dropped: a missed
-// refresh must not kill the benchmark.
-func PublishEvery(c *Collector, dir string, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_ = Publish(c, dir)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-	}
 }

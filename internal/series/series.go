@@ -15,7 +15,8 @@
 // tracks the tail as it moves).
 //
 // Like every observability layer here, the collector only reads clocks: a
-// run's virtual timeline is bit-identical with series collection on or off.
+// run's virtual timeline is bit-identical with series collection on or off
+// (the `neutral` gate experiment).
 package series
 
 import (
@@ -365,7 +366,7 @@ type SLOStatus struct {
 	// consumes the budget exactly; >1 is over-budget.
 	Burn float64 `json:"burn"`
 	// LastBurn is the burn rate of the latest window carrying observations
-	// of this op — the instantaneous signal zofs-top's timeline shows.
+	// of this op — the instantaneous signal zofs-obs top's timeline shows.
 	LastBurn float64 `json:"last_burn"`
 }
 

@@ -5,19 +5,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 
 	"zofs/internal/lockprof"
 	"zofs/internal/pmemtrace"
+	"zofs/internal/telemetry"
 )
 
-// Merged Chrome trace-event export: root spans render as complete ("X")
-// events carrying their component breakdown, child spans nest inside them on
-// the same thread track, and raw pmemtrace device events interleave as
-// instant ("i") events — so a flush stall on the timeline sits visually
-// inside the op that caused it. Structs marshal with fixed field order and
-// maps with sorted keys, keeping the exporter byte-deterministic for a given
-// input (golden-file tested).
+// The Chrome trace-event export (chrome://tracing, Perfetto): root spans
+// render as complete ("X") events carrying their component breakdown, child
+// spans nest inside them on the same thread track, lock waits and worst-op
+// exemplars add slices on their thread's track, window boundaries add global
+// instants, and pmemtrace device events interleave as instant ("i") events
+// with a dirty-line counter ("C") track — so a flush stall on the timeline
+// sits visually inside the op that caused it. Structs marshal with fixed
+// field order and maps with sorted keys, keeping the exporter
+// byte-deterministic for a given input (golden-file tested).
 
 type chromeArgs struct {
 	Comp         map[string]int64 `json:"comp,omitempty"`
@@ -34,6 +38,7 @@ type chromeArgs struct {
 	Len          *int64           `json:"len,omitempty"`
 	Key          *int16           `json:"key,omitempty"`
 	Cause        string           `json:"cause,omitempty"`
+	Dirty        *int64           `json:"dirty,omitempty"`
 }
 
 type chromeEvent struct {
@@ -52,45 +57,46 @@ const chromePID = 1
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
-// WriteChromeTrace renders root spans (with their children) and pmemtrace
-// device events on one timeline. Either input may be empty.
-func WriteChromeTrace(w io.Writer, roots []Root, events []pmemtrace.Event) error {
-	return WriteChromeTraceLanes(w, roots, events, nil)
-}
-
-// WriteChromeTraceLanes is WriteChromeTrace plus per-thread blocked-on
-// lanes: each lockprof blocked interval renders as a "lockwait" complete
-// event named wait:<lock> on its thread's track, so the wait sits visually
-// inside the op that incurred it and the blamed holder is one click away.
-func WriteChromeTraceLanes(w io.Writer, roots []Root, events []pmemtrace.Event, waits []lockprof.BlockedInterval) error {
-	return WriteChromeTraceMarked(w, roots, events, waits, nil)
-}
-
 // WindowMark is one virtual-time series window boundary to overlay on the
-// merged timeline (zofs-trace export -series). The spans package cannot see
-// internal/series (series feeds thresholds into spans), so callers convert
-// series windows to these plain marks.
+// timeline. The spans package cannot see internal/series (series feeds
+// thresholds into spans), so callers convert series windows to these plain
+// marks.
 type WindowMark struct {
 	Index   int64
 	StartNS int64
 	Ops     int64
 }
 
-// TimelineMarks carries the tail-observatory overlays for the Chrome export:
-// window boundaries render as global instants on the device track, worst-op
-// exemplars as "exemplar"-category slices on their thread's track so the
-// captured tail op stands out against the ordinary fsop lane.
-type TimelineMarks struct {
+// Timeline is everything the Chrome exporter places on one virtual-time
+// axis. Any field may be empty.
+type Timeline struct {
+	Roots     []Root
+	Events    []pmemtrace.Event
+	Waits     []lockprof.BlockedInterval
 	Windows   []WindowMark
 	Exemplars []Exemplar
 }
 
-// WriteChromeTraceMarked is WriteChromeTraceLanes plus tail-observatory
-// marks; nil marks renders identically to WriteChromeTraceLanes.
-func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event, waits []lockprof.BlockedInterval, marks *TimelineMarks) error {
+// TraceRoots converts telemetry op-trace spans (a pmemtrace log's op
+// records) into childless roots for the Chrome exporter.
+func TraceRoots(ts []telemetry.TraceEvent) []Root {
+	roots := make([]Root, len(ts))
+	for i, t := range ts {
+		roots[i] = Root{Op: t.Op, TID: t.TID, PKey: -1, Start: t.Start, Dur: t.Dur}
+	}
+	return roots
+}
+
+// WriteChromeTrace renders tl as a Chrome trace-event JSON array: root spans
+// with their children, then lock waits, window marks, exemplars and device
+// events. Events without arguments omit "args".
+func WriteChromeTrace(w io.Writer, tl Timeline) error {
 	bw := bufio.NewWriter(w)
 	first := true
 	emit := func(ev chromeEvent) error {
+		if ev.Args != nil && reflect.ValueOf(*ev.Args).IsZero() {
+			ev.Args = nil
+		}
 		b, err := json.Marshal(ev)
 		if err != nil {
 			return err
@@ -106,8 +112,20 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		_, err = bw.Write(b)
 		return err
 	}
+	compArgs := func(comp Breakdown) map[string]int64 {
+		var m map[string]int64
+		for i, v := range comp {
+			if v > 0 {
+				if m == nil {
+					m = map[string]int64{}
+				}
+				m[Component(i).Name()] = v
+			}
+		}
+		return m
+	}
 
-	ordered := append([]Root(nil), roots...)
+	ordered := append([]Root(nil), tl.Roots...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		if ordered[i].Start != ordered[j].Start {
 			return ordered[i].Start < ordered[j].Start
@@ -117,20 +135,12 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 	for _, r := range ordered {
 		dur := usec(r.Dur)
 		args := &chromeArgs{
-			Comp:         map[string]int64{},
+			Comp:         compArgs(r.Comp),
 			BytesRead:    r.BytesRead,
 			BytesWritten: r.BytesWritten,
 			Flushes:      r.Flushes,
 			Fences:       r.Fences,
 			Aborted:      r.Aborted,
-		}
-		for i, v := range r.Comp {
-			if v > 0 {
-				args.Comp[Component(i).Name()] = v
-			}
-		}
-		if len(args.Comp) == 0 {
-			args.Comp = nil
 		}
 		if r.PathHash != 0 {
 			args.PathHash = fmt.Sprintf("%016x", r.PathHash)
@@ -149,9 +159,7 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		for _, ch := range r.Children {
 			ce := chromeEvent{
 				Name: ch.Name, Cat: "span", PID: chromePID, TID: int32(r.TID),
-			}
-			if ch.Detail != "" {
-				ce.Args = &chromeArgs{Detail: ch.Detail}
+				Args: &chromeArgs{Detail: ch.Detail},
 			}
 			if ch.Start < 0 {
 				// Unplaced annotation (e.g. the violation that aborted the
@@ -167,7 +175,10 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		}
 	}
 
-	lanes := append([]lockprof.BlockedInterval(nil), waits...)
+	// Lock waits: each blocked interval is a "lockwait" slice named
+	// wait:<lock> on its thread's track, inside the op that incurred it,
+	// with the blamed holder in its detail.
+	lanes := append([]lockprof.BlockedInterval(nil), tl.Waits...)
 	sort.SliceStable(lanes, func(i, j int) bool {
 		if lanes[i].StartNS != lanes[j].StartNS {
 			return lanes[i].StartNS < lanes[j].StartNS
@@ -186,49 +197,50 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		}
 	}
 
-	if marks != nil {
-		wm := append([]WindowMark(nil), marks.Windows...)
-		sort.SliceStable(wm, func(i, j int) bool { return wm[i].StartNS < wm[j].StartNS })
-		for _, m := range wm {
-			if err := emit(chromeEvent{
-				Name: fmt.Sprintf("window %d", m.Index), Cat: "series", Ph: "i",
-				TS: usec(m.StartNS), PID: chromePID, TID: 0, S: "g",
-				Args: &chromeArgs{Detail: fmt.Sprintf("%d ops", m.Ops)},
-			}); err != nil {
-				return err
-			}
+	// Series window boundaries are global instants on the device track;
+	// worst-op exemplars are "exemplar" slices on their thread's track so
+	// the captured tail op stands out against the ordinary fsop lane.
+	wm := append([]WindowMark(nil), tl.Windows...)
+	sort.SliceStable(wm, func(i, j int) bool { return wm[i].StartNS < wm[j].StartNS })
+	for _, m := range wm {
+		if err := emit(chromeEvent{
+			Name: fmt.Sprintf("window %d", m.Index), Cat: "series", Ph: "i",
+			TS: usec(m.StartNS), PID: chromePID, TID: 0, S: "g",
+			Args: &chromeArgs{Detail: fmt.Sprintf("%d ops", m.Ops)},
+		}); err != nil {
+			return err
 		}
-		exs := append([]Exemplar(nil), marks.Exemplars...)
-		sort.SliceStable(exs, func(i, j int) bool {
-			if exs[i].Root.Start != exs[j].Root.Start {
-				return exs[i].Root.Start < exs[j].Root.Start
-			}
-			return exs[i].Root.TID < exs[j].Root.TID
-		})
-		for _, e := range exs {
-			d := usec(e.Root.Dur)
-			args := &chromeArgs{Comp: map[string]int64{}}
-			for i, v := range e.Root.Comp {
-				if v > 0 {
-					args.Comp[Component(i).Name()] = v
-				}
-			}
-			if len(args.Comp) == 0 {
-				args.Comp = nil
-			}
-			args.Detail = fmt.Sprintf("threshold %d ns, %d blamed locks, %d device events",
-				e.ThresholdNS, len(e.Locks), len(e.Events))
-			if err := emit(chromeEvent{
-				Name: "worst:" + e.Root.Op, Cat: "exemplar", Ph: "X",
-				TS: usec(e.Root.Start), Dur: &d,
-				PID: chromePID, TID: int32(e.Root.TID), Args: args,
-			}); err != nil {
-				return err
-			}
+	}
+	exs := append([]Exemplar(nil), tl.Exemplars...)
+	sort.SliceStable(exs, func(i, j int) bool {
+		if exs[i].Root.Start != exs[j].Root.Start {
+			return exs[i].Root.Start < exs[j].Root.Start
+		}
+		return exs[i].Root.TID < exs[j].Root.TID
+	})
+	for _, e := range exs {
+		d := usec(e.Root.Dur)
+		if err := emit(chromeEvent{
+			Name: "worst:" + e.Root.Op, Cat: "exemplar", Ph: "X",
+			TS: usec(e.Root.Start), Dur: &d,
+			PID: chromePID, TID: int32(e.Root.TID),
+			Args: &chromeArgs{
+				Comp: compArgs(e.Root.Comp),
+				Detail: fmt.Sprintf("threshold %d ns, %d blamed locks, %d device events",
+					e.ThresholdNS, len(e.Locks), len(e.Events)),
+			},
+		}); err != nil {
+			return err
 		}
 	}
 
-	for _, ev := range events {
+	// Device events, each followed by a dirty_lines counter sample whenever
+	// the count of stored-but-unpersisted lines changes (and at every crash),
+	// so lost-update windows show as a non-zero sawtooth. The unknown-origin
+	// thread id renders as 0, the device track.
+	dirty := pmemtrace.DirtyLines{}
+	lastDirty := -1
+	for _, ev := range tl.Events {
 		tid := ev.TID
 		if tid < 0 {
 			tid = 0
@@ -257,6 +269,20 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		}
 		if err := emit(ce); err != nil {
 			return err
+		}
+
+		before := len(dirty)
+		dirty.Apply(ev)
+		if after := len(dirty); after != before || (ev.Kind == pmemtrace.KindCrash && lastDirty != 0) {
+			n := int64(after)
+			if err := emit(chromeEvent{
+				Name: "dirty_lines", Cat: "nvm", Ph: "C",
+				TS: usec(ev.TS), PID: chromePID, TID: 0,
+				Args: &chromeArgs{Dirty: &n},
+			}); err != nil {
+				return err
+			}
+			lastDirty = after
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"zofs/internal/lockprof"
 	"zofs/internal/pmemtrace"
 )
 
@@ -52,7 +53,7 @@ func fixedMerge() ([]Root, []pmemtrace.Event) {
 func TestMergedChromeGolden(t *testing.T) {
 	roots, events := fixedMerge()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, roots, events); err != nil {
+	if err := WriteChromeTrace(&buf, Timeline{Roots: roots, Events: events}); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_golden.json")
@@ -97,7 +98,7 @@ func TestMergedChromeGolden(t *testing.T) {
 // TestMergedChromeEmpty: both inputs empty still yields a valid array.
 func TestMergedChromeEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil); err != nil {
+	if err := WriteChromeTrace(&buf, Timeline{}); err != nil {
 		t.Fatal(err)
 	}
 	var arr []any
@@ -107,23 +108,19 @@ func TestMergedChromeEmpty(t *testing.T) {
 }
 
 // TestMergedChromeMarks: tail-observatory overlays render as "series"
-// instants and "exemplar" slices; nil marks is byte-identical to the
-// lanes writer (the golden file stays authoritative for that path).
+// instants and "exemplar" slices, lock waits as "lockwait" slices, and the
+// overlays add events without disturbing the ones the golden file pins.
 func TestMergedChromeMarks(t *testing.T) {
 	roots, events := fixedMerge()
-
-	var lanes, markedNil bytes.Buffer
-	if err := WriteChromeTraceLanes(&lanes, roots, events, nil); err != nil {
+	var plain bytes.Buffer
+	if err := WriteChromeTrace(&plain, Timeline{Roots: roots, Events: events}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTraceMarked(&markedNil, roots, events, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lanes.Bytes(), markedNil.Bytes()) {
-		t.Fatal("nil marks changed the lanes export")
-	}
 
-	marks := &TimelineMarks{
+	tl := Timeline{
+		Roots:  roots,
+		Events: events,
+		Waits:  []lockprof.BlockedInterval{{Lock: "kernfs.paths", TID: 2, HolderTID: 1, StartNS: 1550, DurNS: 40}},
 		Windows: []WindowMark{
 			{Index: 1, StartNS: 1000, Ops: 2},
 			{Index: 0, StartNS: 0, Ops: 0},
@@ -133,30 +130,37 @@ func TestMergedChromeMarks(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTraceMarked(&buf, roots, events, nil, marks); err != nil {
+	if err := WriteChromeTrace(&buf, tl); err != nil {
 		t.Fatal(err)
 	}
-	var arr []map[string]any
+	var arr, base []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
 		t.Fatalf("marked export is not a valid JSON array: %v", err)
 	}
+	if err := json.Unmarshal(plain.Bytes(), &base); err != nil {
+		t.Fatal(err)
+	}
 	cats := map[string]int{}
-	var sawWorst, sawWindow bool
+	var sawWorst, sawWindow, sawWait bool
 	for _, ev := range arr {
 		cats[ev["cat"].(string)]++
-		name := ev["name"].(string)
-		if name == "worst:create" {
+		switch ev["name"].(string) {
+		case "worst:create":
 			sawWorst = true
-		}
-		if name == "window 0" {
+		case "window 0":
 			sawWindow = true
+		case "wait:kernfs.paths":
+			sawWait = true
 		}
 	}
-	if cats["series"] != 2 || cats["exemplar"] != 1 {
+	if cats["series"] != 2 || cats["exemplar"] != 1 || cats["lockwait"] != 1 {
 		t.Fatalf("mark category counts = %v", cats)
 	}
-	if !sawWorst || !sawWindow {
-		t.Fatalf("missing mark events (worst=%v window=%v)", sawWorst, sawWindow)
+	if !sawWorst || !sawWindow || !sawWait {
+		t.Fatalf("missing mark events (worst=%v window=%v wait=%v)", sawWorst, sawWindow, sawWait)
+	}
+	if len(arr) != len(base)+4 {
+		t.Fatalf("overlays added %d events, want 4", len(arr)-len(base))
 	}
 }
 
@@ -166,10 +170,10 @@ func TestMergedChromeDeterministic(t *testing.T) {
 	roots, events := fixedMerge()
 	rev := []Root{roots[1], roots[0]}
 	var a, b bytes.Buffer
-	if err := WriteChromeTrace(&a, roots, events); err != nil {
+	if err := WriteChromeTrace(&a, Timeline{Roots: roots, Events: events}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&b, rev, events); err != nil {
+	if err := WriteChromeTrace(&b, Timeline{Roots: rev, Events: events}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -80,8 +80,8 @@ type Snapshot struct {
 	Space []byteflow.CofferSpace `json:"space,omitempty"`
 
 	// Locks is the named-lock contention panel (per-lock waits, wait-for
-	// edges, order inversions), attached by the publisher via OnLockReport
-	// when a lockprof registry is collecting; nil otherwise.
+	// edges, order inversions), attached by the publisher (zofs-bench -obs)
+	// from the lockprof registry collecting beside the spans; nil otherwise.
 	Locks *lockprof.Report `json:"locks,omitempty"`
 
 	// LockWaitNS is the collector-level total of every virtual lock wait,
@@ -327,12 +327,18 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		fmt.Fprintf(w, " %s %.1f%%", c.Name(), s.CriticalPath[c.Name()])
 	}
 	fmt.Fprintln(w)
+	return s.WritePanels(w)
+}
 
+// WritePanels renders the snapshot's byte-flow, coffer-space, contention
+// and named-lock panels, each only when present (zofs-obs df prints the
+// first two on their own).
+func (s Snapshot) WritePanels(w io.Writer) error {
 	if s.Flow != nil {
 		f := s.Flow
 		fmt.Fprintf(w, "byte flow: app %d  issued %d  media %d  WA %.2f  flushes %d  fences %d\n",
 			f.App, f.Total, f.MediaBytes(), f.WA(), f.Flushes, f.Fences)
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "class\tissued\tnt\tflush_lines")
 		for _, c := range byteflow.Classes() {
 			if f.Issued[c] == 0 && f.NT[c] == 0 && f.Lines[c] == 0 {
@@ -346,7 +352,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	if len(s.Space) > 0 {
 		fmt.Fprintln(w, "coffer space:")
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "coffer\tpath\tpages\tused\tfree_listed\tcached\textents\tfrag")
 		for _, cs := range s.Space {
 			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%.3f\n",
@@ -359,7 +365,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 
 	if len(s.Contention) > 0 {
 		fmt.Fprintln(w, "lock contention (by total wait):")
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "lock\twaits\ttotal_wait\tmax_wait")
 		for i, l := range s.Contention {
 			if i >= 10 {

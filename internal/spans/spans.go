@@ -10,9 +10,9 @@
 // decompositions (§6, Figures 7–11).
 //
 // Attribution never advances any clock: with spans enabled or disabled the
-// virtual timeline of a workload is bit-identical, so the disabled-overhead
-// budget asserted by the `spans` gate experiment is exact. The nil
-// *ThreadCtx is a valid no-op context, mirroring telemetry's nil *Recorder.
+// virtual timeline of a workload is bit-identical, which the `neutral` gate
+// experiment asserts with every observer on. The nil *ThreadCtx is a valid
+// no-op context, mirroring telemetry's nil *Recorder.
 package spans
 
 import (

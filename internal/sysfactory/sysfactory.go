@@ -81,7 +81,7 @@ var (
 	// windows, directory lookup cache, allocation batching): the
 	// scan-and-copy implementation the paper describes, kept as the
 	// baseline the `zofs-bench hotpath` experiment measures against.
-	ZoFSCopyPath = NewZoFS("ZoFS-copypath", zofs.Options{NoZeroCopy: true, NoDirCache: true, NoAllocBatch: true})
+	ZoFSCopyPath = NewZoFS("ZoFS-copypath", zofs.Options{CopyPath: true})
 
 	PMFS        = newBaseline("PMFS", func(d *nvm.Device) *baselines.Engine { return baselines.NewPMFS(d, baselines.PMFSOptions{}) })
 	PMFSNocache = newBaseline("PMFS-nocache", func(d *nvm.Device) *baselines.Engine {

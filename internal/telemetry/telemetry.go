@@ -168,6 +168,10 @@ func Enable() *Recorder {
 // unobserved.
 func Disable() { active.Store(nil) }
 
+// Install makes r the process-wide recorder (nil is equivalent to Disable)
+// — the save/restore idiom harness gates use around instrumented runs.
+func Install(r *Recorder) { active.Store(r) }
+
 // Active returns the current process-wide recorder, or nil when disabled.
 func Active() *Recorder { return active.Load() }
 

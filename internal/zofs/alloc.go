@@ -177,7 +177,7 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (page int64, err er
 	// bytes, whatever class the caller was writing.
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
 	defer th.Clk.SetWriteClass(prev)
-	if !f.opts.NoAllocBatch {
+	if !f.opts.CopyPath {
 		if ts := m.threadSlotsFor(th.TID); ts.slot[class] < 0 && th.Clk.Now() < ts.noSlotUntil[class] {
 			th.CPU(perfmodel.CPULockAcquire) // backoff-deadline check
 			return f.allocSlotless(th, m, ts, class)
@@ -188,7 +188,7 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (page int64, err er
 		ts.noSlotTries[class] = 0
 	}
 	if err != nil {
-		if !f.opts.NoAllocBatch && errors.Is(err, vfs.ErrNoSpace) {
+		if !f.opts.CopyPath && errors.Is(err, vfs.ErrNoSpace) {
 			// Every pool slot is leased to a live thread: the pool is one
 			// custom page (62 slots, §5.2), so past ~62 threads per coffer
 			// claims must fail until a lease expires. Serve the thread
@@ -204,7 +204,7 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (page int64, err er
 		}
 		return 0, err
 	}
-	if !f.opts.NoAllocBatch {
+	if !f.opts.CopyPath {
 		if page, ok := f.popCached(th, ts, class); ok {
 			return page, nil
 		}
@@ -232,7 +232,7 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (page int64, err er
 			return page, nil
 		}
 		// Cache dry but the persistent list holds pages (stranded by a
-		// NoAllocBatch mount or a re-claimed slot): drain it below.
+		// CopyPath mount or a re-claimed slot): drain it below.
 	}
 	if ts.head[class] == 0 {
 		exts, err := f.enlarge(th, m, class)
@@ -366,7 +366,7 @@ func (f *FS) freePage(th *proc.Thread, m *mount, class int, page int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
 	defer th.Clk.SetWriteClass(prev)
 	debugMarkFree(page, class)
-	if !f.opts.NoAllocBatch {
+	if !f.opts.CopyPath {
 		if class == classMeta {
 			th.Zero(page*pageSize, pageSize)
 		}
@@ -424,12 +424,12 @@ func (f *FS) cachePage(th *proc.Thread, ts *threadSlots, class int, page int64) 
 
 // queueReclaim releases an unlinked inode that no handle holds open. A
 // regular file goes on the deferred queue; symlink inodes (their target
-// overlaps the block map) and NoAllocBatch mounts free immediately.
+// overlaps the block map) and CopyPath mounts free immediately.
 func (f *FS) queueReclaim(th *proc.Thread, m *mount, ino int64, typ uint8) {
 	switch {
 	case vfs.FileType(typ) != vfs.TypeRegular:
 		f.freePage(th, m, classMeta, ino)
-	case f.opts.NoAllocBatch:
+	case f.opts.CopyPath:
 		f.freeFileContent(th, m, ino)
 	default:
 		th.CPU(perfmodel.CPUSmallOp)

@@ -69,7 +69,7 @@ func (f *FS) dirL1Of(th *proc.Thread, dirIno int64) int64 {
 // plus a cache-charged verification load of the commit word; the on-NVM
 // walk runs only to (re)build the index.
 func (f *FS) dirLookup(th *proc.Thread, dirIno int64, name string) (dentry, deLoc, error) {
-	if f.opts.NoDirCache {
+	if f.opts.CopyPath {
 		return f.dirLookupScan(th, dirIno, name)
 	}
 	th.CPU(perfmodel.CPUHashLookup)
@@ -177,12 +177,12 @@ func (f *FS) dirLookupScan(th *proc.Thread, dirIno int64, name string) (dentry, 
 // writeDentry writes a dentry body then atomically publishes its commit
 // word (§5.3's ordered update). The body write composes directly in the
 // device image through a write view when available; the copy path remains
-// for the NoZeroCopy baseline.
+// for the CopyPath baseline.
 func (f *FS) writeDentry(th *proc.Thread, loc deLoc, name string, typ uint8, cofferID uint32, inode int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassDentry))
 	defer th.Clk.SetWriteClass(prev)
 	wrote := false
-	if !f.opts.NoZeroCopy {
+	if !f.opts.CopyPath {
 		if buf, commit, ok := th.WriteView(loc.addr()+8, dentrySize-8); ok {
 			clear(buf)
 			putU32(buf, deCofferOff-8, cofferID)
@@ -219,7 +219,7 @@ func (f *FS) dirInsert(th *proc.Thread, m *mount, dirIno int64, name string, typ
 	if len(name) > MaxNameLen {
 		return vfs.ErrNameTooLong
 	}
-	if f.opts.NoDirCache {
+	if f.opts.CopyPath {
 		return f.dirInsertScan(th, m, dirIno, name, typ, cofferID, inode)
 	}
 	idx := f.sh.dc.dir(dirIno)
@@ -390,7 +390,7 @@ func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string,
 func (f *FS) dirRemove(th *proc.Thread, dirIno int64, name string, loc deLoc) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassDentry))
 	defer th.Clk.SetWriteClass(prev)
-	if f.opts.NoDirCache {
+	if f.opts.CopyPath {
 		th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
 		return
 	}
@@ -421,7 +421,7 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 		th.Store64(loc.addr()+deInodeOff, uint64(inode))
 		th.Fence()
 	}
-	if f.opts.NoDirCache {
+	if f.opts.CopyPath {
 		write()
 		return
 	}

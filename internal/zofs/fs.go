@@ -42,20 +42,14 @@ type Options struct {
 	// Metadata grants are kernel-zeroed; data grants are not (§5.2).
 	DataEnlargeBatch int64
 	MetaEnlargeBatch int64
-	// NoZeroCopy disables borrowed device access windows: metadata scans and
-	// dentry writes go back to the allocate-and-copy device API (hot-path
-	// ablation baseline).
-	NoZeroCopy bool
-	// NoDirCache disables the volatile directory lookup index: every lookup
-	// and insert walks the on-NVM two-level hash structure.
-	NoDirCache bool
-	// NoAllocBatch disables volatile per-thread page caching: every page
-	// allocation and free updates the persistent slot free-list chain.
-	NoAllocBatch bool
-	// NoSpans ablates ZoFS-layer causal-span instrumentation (lock and
-	// memcpy billing, dcache hit/miss accounting). Lower layers still bill
-	// device costs through the clock when a collector is installed.
-	NoSpans bool
+	// CopyPath disables every hot-path optimization at once — the
+	// scan-and-copy baseline (ZoFS-copypath): no borrowed device access
+	// windows (metadata scans and dentry writes use the allocate-and-copy
+	// device API), no volatile directory lookup index (every lookup and
+	// insert walks the on-NVM two-level hash structure) and no per-thread
+	// page caching (every page allocation and free updates the persistent
+	// slot free-list chain).
+	CopyPath bool
 	// NoLeaseBatch disables batched inode-lease renewal: every unlock
 	// CAS-clears the lease word and every lock re-publishes it, restoring
 	// the two-NVM-writes-per-op discipline (ablation baseline; also used by
@@ -163,13 +157,10 @@ func (f *FS) SecondMount(p *proc.Process) (vfs.FileSystem, error) {
 	return New(f.kern, f.opts), nil
 }
 
-// span returns the thread's causal-span context, or nil when ZoFS-layer
-// span instrumentation is ablated via Options.NoSpans. Every ThreadCtx
-// method is nil-safe, so call sites stay unconditional.
+// span returns the thread's causal-span context (nil when no collector is
+// installed). Every ThreadCtx method is nil-safe, so call sites stay
+// unconditional.
 func (f *FS) span(th *proc.Thread) *spans.ThreadCtx {
-	if f.opts.NoSpans {
-		return nil
-	}
 	return spans.FromClock(th.Clk)
 }
 
@@ -434,7 +425,7 @@ func cleanPath(p string) string {
 // The view aliases live media: read-only, valid only while the current MPK
 // window stays open.
 func (f *FS) readView(th *proc.Thread, off, n int64) []byte {
-	if !f.opts.NoZeroCopy {
+	if !f.opts.CopyPath {
 		if v, ok := th.ReadView(off, n); ok {
 			return v
 		}
@@ -449,7 +440,7 @@ func (f *FS) readView(th *proc.Thread, off, n int64) []byte {
 
 // readViewCached is readView charged as a CPU-cache hit.
 func (f *FS) readViewCached(th *proc.Thread, off, n int64) []byte {
-	if !f.opts.NoZeroCopy {
+	if !f.opts.CopyPath {
 		if v, ok := th.ReadViewCached(off, n); ok {
 			return v
 		}

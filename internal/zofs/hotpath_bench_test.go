@@ -98,7 +98,7 @@ func BenchmarkAllocBatch(b *testing.B) {
 		opts Options
 	}{
 		{"batched", Options{}},
-		{"chained", Options{NoAllocBatch: true}},
+		{"chained", Options{CopyPath: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			f, th := newBenchFS(b, cfg.opts)

@@ -159,7 +159,7 @@ func (f *FS) isInline(th *proc.Thread, ino int64) bool {
 
 // readAt reads file data; the caller holds at least a read lock on ino.
 // The default configuration delivers straight from the mapped device into
-// the caller's buffer; the NoZeroCopy variant stages every transfer
+// the caller's buffer; the CopyPath variant stages every transfer
 // through a DRAM bounce buffer and pays the extra memcpy.
 func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (int, error) {
 	if off < 0 {
@@ -172,7 +172,7 @@ func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (
 	if off+int64(len(p)) > size {
 		p = p[:size-off]
 	}
-	if f.opts.NoZeroCopy && len(p) > 0 {
+	if f.opts.CopyPath && len(p) > 0 {
 		cost := perfmodel.MemcpyCost(len(p))
 		th.CPU(cost)
 		f.span(th).Bill(spans.CompMemcpy, cost)
@@ -216,7 +216,7 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 	if off < 0 {
 		return 0, vfs.ErrInvalid
 	}
-	if f.opts.NoZeroCopy && len(p) > 0 {
+	if f.opts.CopyPath && len(p) > 0 {
 		// Copy-path staging of the outgoing bytes (see readAt).
 		cost := perfmodel.MemcpyCost(len(p))
 		th.CPU(cost)

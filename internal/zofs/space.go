@@ -10,7 +10,7 @@ import (
 	"zofs/internal/nvm"
 )
 
-// Per-coffer space accounting (zofs-df). The kernel's allocation table is
+// Per-coffer space accounting (zofs-obs df). The kernel's allocation table is
 // the authority for each coffer's grant; the µFS side adds where the granted
 // pages are inside the coffer: chained on a persistent slot free list, held
 // in this instance's volatile batch caches, or in use. The persistent free

@@ -22,46 +22,64 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench build/test =="
+# The benchmark is its own Go module, so the root build and tests skip it;
+# this keeps it compiling against the observer APIs it calls.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== trace smoke =="
 # Record one tiny fig7 append cell with the flight recorder on, then gate on
 # the auditor: a crash-free run must have zero lost lines.
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
-go run ./cmd/zofs-trace record -workload append -system Ext4-DAX \
+go build -o "$tracedir/zofs-obs" ./cmd/zofs-obs
+obs="$tracedir/zofs-obs"
+"$obs" trace record -workload append -system Ext4-DAX \
     -o "$tracedir/smoke.jsonl" -threads 1 -ops 8 -device-mb 64 >/dev/null
-go run ./cmd/zofs-trace audit -max-lost 0 "$tracedir/smoke.jsonl" >/dev/null
+"$obs" trace audit -max-lost 0 "$tracedir/smoke.jsonl" >/dev/null
 
-echo "== spans smoke =="
-# Causal-span gates. The "spans" experiment is self-asserting: spans-off vs
-# spans-on simulated throughput within 2% (the disabled-overhead budget),
-# per-op component attribution summing to the measured latency within 1%,
-# and a parseable OpenMetrics rendering. Then a -spans collection run must
-# produce an export that zofs-top's validator (share sum ~100%) accepts.
+echo "== neutrality gate =="
+# Observers read virtual clocks and never advance them. The "neutral"
+# experiment runs the ZoFS hot-path cells (create/lookup/read4k) and the
+# 1-thread FxMark DWOL/MWCL cells with every observer off, then with
+# telemetry, spans+exemplars, series, lockprof, pmemtrace and byte-flow
+# accounting all on, and fails unless every cell's op count and integer
+# virtual ns are equal.
 # Bench smokes run from $tracedir: experiments write BENCH_*.json into the
 # working directory, and a -quick pass must not clobber the committed
 # full-fidelity results.
 go build -o "$tracedir/zofs-bench" ./cmd/zofs-bench
+(cd "$tracedir" && ./zofs-bench -quick neutral >/dev/null)
+
+echo "== spans smoke =="
+# Causal-span gates. The "spans" experiment is self-asserting: per-op
+# component attribution summing to the measured latency within 1%, no span
+# left open or closed twice, and a parseable OpenMetrics rendering.
 (cd "$tracedir" && ./zofs-bench -quick spans >/dev/null)
-(cd "$tracedir" && ./zofs-bench -quick -spans "$tracedir/spans" fig8 >/dev/null)
-go run ./cmd/zofs-top -validate "$tracedir/spans/spans.prom" >/dev/null
-go run ./cmd/zofs-top -once -dir "$tracedir/spans" >/dev/null
 
 echo "== series smoke =="
-# Tail-observatory gates. The "series" experiment is self-asserting: series
-# and exemplar collection must leave simulated throughput bit-identical,
-# merged windows must equal the cumulative telemetry histograms bucket for
-# bucket, every captured exemplar's components must sum exactly to its
-# duration, and the SLO burn accounting must match its designed values. Then
-# a -series collection run must publish a series.prom the shared validator
-# accepts, a timeline zofs-top renders, and a series directory zofs-trace
-# can overlay on the causal-span Chrome export.
+# Tail-observatory gates. The "series" experiment is self-asserting: merged
+# windows must equal the cumulative telemetry histograms bucket for bucket,
+# every captured exemplar's components must sum exactly to its duration,
+# and the SLO burn accounting must match its designed values.
 (cd "$tracedir" && ./zofs-bench -quick series >/dev/null)
-(cd "$tracedir" && ./zofs-bench -quick -spans "$tracedir/tail" -series "$tracedir/tail" fig8 >/dev/null)
-go run ./cmd/zofs-perfdiff -validate "$tracedir/tail/series.prom" >/dev/null
-go run ./cmd/zofs-top -once -dir "$tracedir/tail" >/dev/null
-go run ./cmd/zofs-top -json -dir "$tracedir/tail" >/dev/null
-go run ./cmd/zofs-trace export -spans "$tracedir/tail/spans.jsonl" \
-    -series "$tracedir/tail" -o "$tracedir/tail/chrome.json" >/dev/null
+
+echo "== observer front end smoke =="
+# One -obs collection run publishes every observer's files into one
+# directory. Each OpenMetrics export must pass zofs-obs validate (span
+# component shares sum to ~100%; series counts conserved; lock wait/hold
+# conservation and edge bounds), top must render a frame and a JSON frame,
+# locks a text report, and trace export must merge spans, lock waits, series
+# windows and exemplars into one Chrome timeline.
+(cd "$tracedir" && ./zofs-bench -quick -obs "$tracedir/obs" fig8 >/dev/null)
+"$obs" validate "$tracedir/obs/spans.prom" "$tracedir/obs/series.prom" \
+    "$tracedir/obs/locks.prom" >/dev/null
+"$obs" top -once -dir "$tracedir/obs" >/dev/null
+"$obs" top -json -dir "$tracedir/obs" >/dev/null
+"$obs" locks -once -dir "$tracedir/obs" >/dev/null
+"$obs" trace export -spans "$tracedir/obs/spans.jsonl" \
+    -waits "$tracedir/obs/waits.jsonl" -series "$tracedir/obs" \
+    -o "$tracedir/obs/chrome.json" >/dev/null
 
 echo "== perfdiff gate =="
 # Standing perf-regression gate: a fresh quick hotpath run must not regress
@@ -70,33 +88,31 @@ echo "== perfdiff gate =="
 # change — refresh the baseline deliberately when one is intended). Then the
 # differ proves it can catch what it gates: a 20% synthetic regression must
 # trip exit 3.
-go build -o "$tracedir/zofs-perfdiff" ./cmd/zofs-perfdiff
 (cd "$tracedir" && ./zofs-bench -quick hotpath >/dev/null)
-"$tracedir/zofs-perfdiff" BENCH_hotpath.json "$tracedir/BENCH_hotpath.json" >/dev/null
-"$tracedir/zofs-perfdiff" -inject 0.2 -o "$tracedir/BENCH_hotpath_regressed.json" \
+"$obs" diff BENCH_hotpath.json "$tracedir/BENCH_hotpath.json" >/dev/null
+"$obs" diff -inject 0.2 -o "$tracedir/BENCH_hotpath_regressed.json" \
     "$tracedir/BENCH_hotpath.json" >/dev/null
-if "$tracedir/zofs-perfdiff" BENCH_hotpath.json \
+if "$obs" diff BENCH_hotpath.json \
     "$tracedir/BENCH_hotpath_regressed.json" >/dev/null 2>&1; then
-    echo "perfdiff: injected 20% regression was not detected" >&2
+    echo "diff: injected 20% regression was not detected" >&2
     exit 1
 else
     status=$?
     if [ "$status" -ne 3 ]; then
-        echo "perfdiff: expected regression exit 3, got $status" >&2
+        echo "diff: expected regression exit 3, got $status" >&2
         exit 1
     fi
 fi
 
 echo "== wa smoke =="
 # Byte-flow gates. The "wa" experiment is self-asserting: per-class issued
-# bytes sum exactly to the device's independent issued total, write cells
-# keep media >= issued >= app, and accounting-on vs accounting-off simulated
-# throughput agrees within 2%. Then zofs-df must reconcile flow and space
-# accounting (-validate exits 1 on violation) and emit OpenMetrics series
-# the spans validator accepts.
+# bytes sum exactly to the device's independent issued total, and write
+# cells keep media >= issued >= app. Then zofs-obs df must reconcile flow
+# and space accounting (-validate exits 1 on violation) and emit OpenMetrics
+# series that zofs-obs validate accepts.
 (cd "$tracedir" && ./zofs-bench -quick wa >/dev/null)
-go run ./cmd/zofs-df -files 128 -validate -om "$tracedir/flow.prom" >/dev/null
-go run ./cmd/zofs-top -validate "$tracedir/flow.prom" >/dev/null
+"$obs" df -files 128 -validate -om "$tracedir/flow.prom" >/dev/null
+"$obs" validate "$tracedir/flow.prom" >/dev/null
 
 echo "== crashmc smoke =="
 # Crash-state model checker gates: a dense ZoFS sweep (>=200 states under
@@ -138,18 +154,10 @@ else
 fi
 
 echo "== fxmark-scale smoke =="
-# Concurrency-observatory gates. The "fxmark-scale" experiment is
-# self-asserting: 1-thread cells must be bit-identical in ops and virtual
-# time with the lock profiler off vs on (disabled overhead < 2%, measured
-# exactly 0), and the spans layer's aggregate lock_wait must equal the
-# profiler's per-lock wait sum to the nanosecond on a contended cell. Then a
-# -lockprof collection run must produce an OpenMetrics export that
-# zofs-locks' validator (wait/hold conservation, edge bounds) accepts and a
-# renderable text report.
+# Concurrency-observatory gate. The "fxmark-scale" experiment is
+# self-asserting: the spans layer's aggregate lock_wait must equal the
+# profiler's per-lock wait sum to the nanosecond on a contended cell.
 (cd "$tracedir" && ./zofs-bench -quick -threads 1,4,16 fxmark-scale >/dev/null)
-(cd "$tracedir" && ./zofs-bench -quick -lockprof "$tracedir/locks" fig8 >/dev/null)
-go run ./cmd/zofs-locks -validate "$tracedir/locks/locks.prom" >/dev/null
-go run ./cmd/zofs-locks -once -dir "$tracedir/locks" >/dev/null
 
 echo "== scalability gate =="
 # Regression gate for the kernfs.big decomposition: a quick fxmark-scale
