@@ -62,10 +62,11 @@ type Lib struct {
 }
 
 type fdEntry struct {
-	h     vfs.Handle
-	path  string
-	flags int
-	pos   int64
+	h        vfs.Handle
+	path     string // the path the FS saw: µFS-internal, or Fallback's
+	fallback bool   // path belongs to Fallback, not the Treasury mount
+	flags    int
+	pos      int64
 }
 
 // Mount registers the process with KernFS (fs_mount) and builds the
@@ -176,15 +177,20 @@ func (l *Lib) traceAt(th *proc.Thread, op telemetry.Op, path string) func() {
 	}
 }
 
-// resolve normalizes a path against the CWD and checks the mount point,
-// returning the µFS-internal path.
-func (l *Lib) resolve(path string) (string, bool) {
+// abs normalizes a path against the CWD into the process's view.
+func (l *Lib) abs(path string) string {
 	if !strings.HasPrefix(path, "/") {
 		l.mu.Lock()
 		path = l.cwd + "/" + path
 		l.mu.Unlock()
 	}
-	path = Clean(path)
+	return Clean(path)
+}
+
+// resolve normalizes a path against the CWD and checks the mount point,
+// returning the µFS-internal path.
+func (l *Lib) resolve(path string) (string, bool) {
+	path = l.abs(path)
 	mp := l.opts.MountPath
 	if mp == "/" {
 		return path, true
@@ -203,9 +209,10 @@ func Clean(p string) string { return vfs.Clean(p) }
 
 // fsFor picks the µFS for a path by the enclosing coffer's type (§4.2:
 // "dispatch the system calls to the corresponding µFS according to the
-// coffer type").
+// coffer type"). The parse is recorded on th, so the µFS resolves the
+// coffer from it instead of parsing the path a second time.
 func (l *Lib) fsFor(th *proc.Thread, path string) (vfs.FileSystem, error) {
-	id, _, ok := l.kern.ResolveLongest(th.Clk, path)
+	id, ok := l.kern.ResolveDispatch(th, path)
 	if !ok {
 		return nil, vfs.ErrNotExist
 	}
@@ -224,8 +231,17 @@ func (l *Lib) fsFor(th *proc.Thread, path string) (vfs.FileSystem, error) {
 // expansion (§4.2: "the new path will be returned to the dispatcher, which
 // will re-dispatch the file request").
 func (l *Lib) dispatch(th *proc.Thread, path string, op func(fs vfs.FileSystem, p string) error) error {
-	sp := spans.FromClock(th.Clk)
 	p, inMount := l.resolve(path)
+	return l.dispatchAt(th, p, inMount, op)
+}
+
+// dispatchAt is dispatch for a path already resolved against the CWD and
+// mount point: a µFS-internal path, or a Fallback path when !inMount.
+func (l *Lib) dispatchAt(th *proc.Thread, p string, inMount bool, op func(fs vfs.FileSystem, p string) error) error {
+	sp := spans.FromClock(th.Clk)
+	// fsFor's parse record is valid for this call only: drop it however
+	// the µFS returns, fault unwinds included.
+	defer func() { th.Resolved = proc.Resolution{} }()
 	for hop := 0; ; hop++ {
 		if hop > maxSymlinkHops {
 			return ErrLoop
@@ -243,9 +259,9 @@ func (l *Lib) dispatch(th *proc.Thread, path string, op func(fs vfs.FileSystem, 
 			}
 			fs = l.opts.Fallback
 		}
-		// Coffer-type routing (resolve + ResolveLongest) is the dispatcher's
-		// own cost; record it as a child span per hop so symlink re-dispatch
-		// shows up as repeated dispatch segments on the timeline.
+		// Coffer-type routing (the call's one backward parse) is the
+		// dispatcher's own cost; record it as a child span per hop so symlink
+		// re-dispatch shows up as repeated dispatch segments on the timeline.
 		sp.Child("fslib.dispatch", t0, th.Clk.Now()-t0)
 		err := op(fs, p)
 		var se *vfs.SymlinkError
@@ -285,7 +301,8 @@ func (l *Lib) Open(th *proc.Thread, path string, flags int, mode coffer.Mode) (f
 	defer l.guard(th, &err)
 	var h vfs.Handle
 	var finalPath string
-	err = l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
+	p, inMount := l.resolve(path)
+	err = l.dispatchAt(th, p, inMount, func(fs vfs.FileSystem, p string) error {
 		var e error
 		finalPath = p
 		switch {
@@ -320,7 +337,7 @@ func (l *Lib) Open(th *proc.Thread, path string, flags int, mode coffer.Mode) (f
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	fd = l.allocFD()
-	e := &fdEntry{h: h, path: finalPath, flags: flags}
+	e := &fdEntry{h: h, path: finalPath, fallback: !inMount, flags: flags}
 	if flags&vfs.O_APPEND != 0 {
 		if fi, serr := h.Stat(th); serr == nil {
 			e.pos = fi.Size
@@ -523,7 +540,7 @@ func (l *Lib) Ftruncate(th *proc.Thread, fd int, size int64) (err error) {
 	if err != nil {
 		return err
 	}
-	return l.dispatch(th, e.path, func(fs vfs.FileSystem, p string) error {
+	return l.dispatchAt(th, e.path, !e.fallback, func(fs vfs.FileSystem, p string) error {
 		return fs.Truncate(th, p, size)
 	})
 }
@@ -652,7 +669,7 @@ func (l *Lib) Chdir(th *proc.Thread, path string) error {
 	if fi.Type != vfs.TypeDir {
 		return vfs.ErrNotDir
 	}
-	p, _ := l.resolve(path)
+	p := l.abs(path)
 	l.mu.Lock()
 	l.cwd = p
 	l.mu.Unlock()
@@ -674,10 +691,11 @@ func (l *Lib) Getcwd() string {
 const fdEnvVar = "ZOFS_FDTABLE"
 
 type fdRecord struct {
-	FD    int    `json:"fd"`
-	Path  string `json:"path"`
-	Flags int    `json:"flags"`
-	Pos   int64  `json:"pos"`
+	FD       int    `json:"fd"`
+	Path     string `json:"path"` // as the FS saw it, mount prefix stripped
+	Fallback bool   `json:"fallback,omitempty"`
+	Flags    int    `json:"flags"`
+	Pos      int64  `json:"pos"`
 }
 
 // SerializeFDs encodes the FD table for exec, returning the environment
@@ -687,7 +705,7 @@ func (l *Lib) SerializeFDs() (string, error) {
 	defer l.mu.Unlock()
 	recs := make([]fdRecord, 0, len(l.fds))
 	for fd, e := range l.fds {
-		recs = append(recs, fdRecord{FD: fd, Path: e.path, Flags: e.flags, Pos: e.pos})
+		recs = append(recs, fdRecord{FD: fd, Path: e.path, Fallback: e.fallback, Flags: e.flags, Pos: e.pos})
 	}
 	raw, err := json.Marshal(recs)
 	if err != nil {
@@ -713,7 +731,7 @@ func (l *Lib) RestoreFDs(th *proc.Thread, env string) error {
 	}
 	for _, r := range recs {
 		var h vfs.Handle
-		derr := l.dispatch(th, r.Path, func(fs vfs.FileSystem, p string) error {
+		derr := l.dispatchAt(th, r.Path, !r.Fallback, func(fs vfs.FileSystem, p string) error {
 			var e error
 			h, e = fs.Open(th, p, r.Flags&^(vfs.O_TRUNC|vfs.O_EXCL|vfs.O_CREATE))
 			return e
@@ -722,7 +740,7 @@ func (l *Lib) RestoreFDs(th *proc.Thread, env string) error {
 			continue // the file vanished; the FD is simply absent, as after a failed reopen
 		}
 		l.mu.Lock()
-		l.fds[r.FD] = &fdEntry{h: h, path: r.Path, flags: r.Flags, pos: r.Pos}
+		l.fds[r.FD] = &fdEntry{h: h, path: r.Path, fallback: r.Fallback, flags: r.Flags, pos: r.Pos}
 		l.mu.Unlock()
 	}
 	return nil

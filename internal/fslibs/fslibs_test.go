@@ -15,6 +15,12 @@ import (
 
 func newLib(t *testing.T) (*nvm.Device, *kernfs.KernFS, *Lib, *proc.Thread) {
 	t.Helper()
+	return newLibAt(t, "/")
+}
+
+// newLibAt is newLib with the Treasury namespace mounted at mountPath.
+func newLibAt(t *testing.T, mountPath string) (*nvm.Device, *kernfs.KernFS, *Lib, *proc.Thread) {
+	t.Helper()
 	dev := nvm.NewDevice(128 << 20)
 	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 		t.Fatal(err)
@@ -25,7 +31,7 @@ func newLib(t *testing.T) (*nvm.Device, *kernfs.KernFS, *Lib, *proc.Thread) {
 	}
 	p := proc.NewProcess(dev, 0, 0)
 	th := p.NewThread()
-	l, err := Mount(k, th, Options{})
+	l, err := Mount(k, th, Options{MountPath: mountPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,21 +208,64 @@ func TestMountPathRouting(t *testing.T) {
 	}
 }
 
-func TestExecFDTableSerialization(t *testing.T) {
-	_, _, l, th := newLib(t)
-	fd, _ := l.Open(th, "/persist", vfs.O_CREATE|vfs.O_RDWR, 0o644)
-	l.Write(th, fd, []byte("0123456789"))
-	l.Lseek(th, fd, 4, SeekSet)
-	l.Open(th, "/exe", vfs.O_CREATE|vfs.O_RDWR, 0o755)
-
-	nl, err := l.Exec(th, "/exe")
-	if err != nil {
-		t.Fatalf("Exec: %v", err)
+// TestChdirUnderMountPath: the working directory is a process path, so
+// under a non-root mount it keeps the mount prefix and relative paths
+// resolve through it.
+func TestChdirUnderMountPath(t *testing.T) {
+	_, _, l, th := newLibAt(t, "/mnt/pm")
+	if err := l.Mkdir(th, "/mnt/pm/sub", 0o755); err != nil {
+		t.Fatal(err)
 	}
-	// The same FD numbers work in the new image with preserved offsets.
-	buf := make([]byte, 3)
-	if n, err := nl.Read(th, fd, buf); err != nil || n != 3 || string(buf) != "456" {
-		t.Fatalf("post-exec read = %d %q %v", n, buf, err)
+	if err := l.Chdir(th, "/mnt/pm/sub"); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Getcwd(); got != "/mnt/pm/sub" {
+		t.Fatalf("cwd = %q, want /mnt/pm/sub", got)
+	}
+	fd, err := l.Create(th, "x", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close(th, fd)
+	if _, err := l.Stat(th, "x"); err != nil {
+		t.Fatalf("relative stat: %v", err)
+	}
+	if _, err := l.ZoFS().Stat(th, "/sub/x"); err != nil {
+		t.Fatalf("µFS-internal path: %v", err)
+	}
+	if err := l.Chdir(th, ".."); err != nil || l.Getcwd() != "/mnt/pm" {
+		t.Fatalf("chdir .. = %v, cwd %q", err, l.Getcwd())
+	}
+}
+
+func TestExecFDTableSerialization(t *testing.T) {
+	for _, c := range []struct{ name, mp string }{{"root", "/"}, {"mnt-pm", "/mnt/pm"}} {
+		mp := c.mp
+		t.Run(c.name, func(t *testing.T) {
+			_, _, l, th := newLibAt(t, mp)
+			at := func(p string) string { return vfs.Join(mp, p) }
+			fd, _ := l.Open(th, at("persist"), vfs.O_CREATE|vfs.O_RDWR, 0o644)
+			l.Write(th, fd, []byte("0123456789"))
+			l.Lseek(th, fd, 4, SeekSet)
+			l.Open(th, at("exe"), vfs.O_CREATE|vfs.O_RDWR, 0o755)
+
+			nl, err := l.Exec(th, at("exe"))
+			if err != nil {
+				t.Fatalf("Exec: %v", err)
+			}
+			// The same FD numbers work in the new image with preserved offsets.
+			buf := make([]byte, 3)
+			if n, err := nl.Read(th, fd, buf); err != nil || n != 3 || string(buf) != "456" {
+				t.Fatalf("post-exec read = %d %q %v", n, buf, err)
+			}
+			// Path-routed FD calls reach the same file after exec.
+			if err := nl.Ftruncate(th, fd, 2); err != nil {
+				t.Fatalf("post-exec ftruncate: %v", err)
+			}
+			if fi, err := nl.Stat(th, at("persist")); err != nil || fi.Size != 2 {
+				t.Fatalf("post-exec stat = %+v, %v", fi, err)
+			}
+		})
 	}
 }
 

@@ -532,6 +532,60 @@ func (k *KernFS) ResolveLongest(clk *simclock.Clock, path string) (coffer.ID, st
 	}
 }
 
+// ResolveDispatch is ResolveLongest for the FSLibs dispatcher. It also
+// records the parse on th.Resolved, so the µFS call the dispatcher makes
+// next can reuse it through Resolve instead of parsing again. The record
+// is kept only if the parse ran under one stable path-table version: the
+// sequence number is even and unchanged across the parse. Otherwise the
+// record is cleared.
+func (k *KernFS) ResolveDispatch(th *proc.Thread, path string) (coffer.ID, bool) {
+	seq := k.paths.seq.Load()
+	id, prefix, ok := k.ResolveLongest(th.Clk, path)
+	if ok && seq%2 == 0 && k.paths.seq.Load() == seq {
+		th.Resolved = proc.Resolution{Path: path, Prefix: prefix, ID: id, Seq: seq}
+	} else {
+		th.Resolved = proc.Resolution{}
+	}
+	return id, ok
+}
+
+// Resolve is ResolveLongest for µFS code. When th carries a dispatcher
+// record that provably answers path, the record is reused for one
+// CPUSmallOp (the re-check) instead of a second parse; otherwise it parses.
+func (k *KernFS) Resolve(th *proc.Thread, path string) (coffer.ID, string, bool) {
+	if r := &th.Resolved; reusable(r, k.paths.seq.Load(), path) {
+		th.Clk.Advance(perfmodel.CPUSmallOp)
+		return r.ID, r.Prefix, true
+	}
+	return k.ResolveLongest(th.Clk, path)
+}
+
+// reusable reports whether record r, checked against the path table at
+// version seq, equals a fresh ResolveLongest(d). It does when the table is
+// unchanged and d is P itself or lies between Q and P (Q ⊑ d ⊑ P, component
+// by component): the parse of P probed d and every prefix of P longer than
+// Q and found none registered, so the parse of d stops at Q too. When P is
+// itself a coffer root (Q = P), the bound admits P alone. P is absolute, so
+// each probe of its parse is shorter than the one before.
+func reusable(r *proc.Resolution, seq uint64, d string) bool {
+	if r.Path == "" || r.Seq != seq {
+		return false
+	}
+	if d == r.Path {
+		return true
+	}
+	return (d == r.Prefix || len(d) > len(r.Prefix)) && onParse(d, r.Path)
+}
+
+// onParse reports whether ResolveLongest(p) probes d after p: d is "/" or
+// the prefix of p before one of its later '/' separators.
+func onParse(d, p string) bool {
+	if d == "/" {
+		return true
+	}
+	return len(d) < len(p) && p[len(d)] == '/' && p[:len(d)] == d
+}
+
 // Info returns a copy of a coffer's root-page metadata. Lock-free: the
 // published root-page snapshot is read with two atomic loads.
 func (k *KernFS) Info(id coffer.ID) (coffer.RootPage, bool) {

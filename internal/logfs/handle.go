@@ -73,6 +73,12 @@ func (h *handle) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	if !ok {
 		return 0, vfs.ErrNotExist
 	}
+	return h.writeLocked(th, m, p, off)
+}
+
+// writeLocked is WriteAt's update of the file indexed as m; the caller
+// holds lc.mu.
+func (h *handle) writeLocked(th *proc.Thread, m *meta, p []byte, off int64) (int, error) {
 	cl := h.fs.window(th, h.lc, true)
 	defer cl()
 
@@ -119,17 +125,20 @@ func (h *handle) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Append writes at end of file.
+// Append writes at end of file. The size is read and the write committed
+// under one hold of lc.mu, so concurrent appends never share an offset.
 func (h *handle) Append(th *proc.Thread, p []byte) (int64, error) {
+	if !h.writable() {
+		return 0, vfs.ErrBadFD
+	}
 	h.lc.mu.Lock()
+	defer h.lc.mu.Unlock()
 	m, ok := h.lc.index[h.rel]
 	if !ok {
-		h.lc.mu.Unlock()
 		return 0, vfs.ErrNotExist
 	}
 	off := m.size
-	h.lc.mu.Unlock()
-	_, err := h.WriteAt(th, p, off)
+	_, err := h.writeLocked(th, m, p, off)
 	return off, err
 }
 

@@ -382,7 +382,7 @@ func (f *FS) kernPages(lc *logCoffer) int64 {
 
 // resolve finds the LogFS coffer for a path and the coffer-relative key.
 func (f *FS) resolve(th *proc.Thread, path string) (*logCoffer, string, error) {
-	id, prefix, ok := f.kern.ResolveLongest(th.Clk, path)
+	id, prefix, ok := f.kern.Resolve(th, path)
 	if !ok {
 		return nil, "", vfs.ErrNotExist
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"zofs/internal/coffer"
 	"zofs/internal/lockprof"
 	"zofs/internal/mpk"
 	"zofs/internal/nvm"
@@ -116,6 +117,23 @@ type Thread struct {
 	Clk  *simclock.Clock
 	TID  int
 	pkru mpk.PKRU
+
+	// Resolved is the FSLibs dispatcher's coffer resolution for the system
+	// call in flight on this thread. The dispatcher sets it (through
+	// kernfs.ResolveDispatch) and clears it when the µFS returns, so code
+	// that calls a µFS directly never sees one.
+	Resolved Resolution
+}
+
+// Resolution records one backward path parse (paper §5, §6.2): the parsed
+// path P, the coffer it resolved to, the coffer-root prefix Q that matched,
+// and the path-table version the parse ran under. The zero value (empty
+// Path) means no record.
+type Resolution struct {
+	Path   string
+	Prefix string
+	ID     coffer.ID
+	Seq    uint64
 }
 
 // PKRU returns the thread's current protection-key rights register.

@@ -283,15 +283,17 @@ type walkPos struct {
 // walk resolves an absolute, cleaned path to an inode.
 //
 // Per §5 it first finds the nearest enclosing coffer by backwards path
-// parsing (longest prefix first), maps it, then walks the remaining
-// components inside the coffer. A validated cross-coffer dentry switches
-// the window to the target coffer (guidelines G2/G3). Symlink expansion is
-// reported to the dispatcher via *vfs.SymlinkError (§4.2).
+// parsing (longest prefix first; under a dispatched call kernfs.Resolve
+// reuses the dispatcher's parse when it provably answers path), maps it,
+// then walks the remaining components inside the coffer. A validated
+// cross-coffer dentry switches the window to the target coffer (guidelines
+// G2/G3). Symlink expansion is reported to the dispatcher via
+// *vfs.SymlinkError (§4.2).
 //
 // followFinal controls whether a symlink at the final component is
 // expanded. write requests a writable mapping/window on the final coffer.
 func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPos, error) {
-	cid, cofferPath, ok := f.kern.ResolveLongest(th.Clk, path)
+	cid, cofferPath, ok := f.kern.Resolve(th, path)
 	if !ok {
 		return walkPos{}, vfs.ErrNotExist
 	}

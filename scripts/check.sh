@@ -22,6 +22,13 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== fuzz smoke =="
+# The dispatcher hands its backward path parse to the µFS walk (DESIGN.md
+# §5). Ten seconds of fuzzing from the committed seed corpus: every reused
+# record must equal a fresh parse, and a republished table, a sibling
+# directory or the parent of a coffer-root file must parse afresh.
+go test -run '^$' -fuzz '^FuzzResolveReuse$' -fuzztime 10s ./internal/kernfs
+
 echo "== perfbench build/test =="
 # The benchmark is its own Go module, so the root build and tests skip it;
 # this keeps it compiling against the observer APIs it calls.
