@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"zofs/internal/coffer"
@@ -17,7 +18,6 @@ import (
 	"zofs/internal/proc"
 	"zofs/internal/spans"
 	"zofs/internal/sysfactory"
-	"zofs/internal/telemetry"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
@@ -28,8 +28,9 @@ import (
 // record drives a small fig7-style workload against one or all of the §6
 // comparison file systems with the flight recorder on, spills every device
 // event to a JSONL log (one log per system: "-o base.jsonl" becomes
-// "base-<system>.jsonl" when recording several), appends the telemetry
-// op-trace spans, and prints the crash-consistency audit per system.
+// "base-<system>.jsonl" when recording several), appends the op spans (the
+// finished roots of a spans collector), and prints the crash-consistency
+// audit per system.
 //
 // audit replays a recorded log through the auditor: lost-update lines at
 // crash points, redundant flushes/fences, epoch shape. With -max-lost it
@@ -148,7 +149,7 @@ func suffixed(path, system string, multi bool) string {
 }
 
 // recordOne runs one workload against one system with a fresh recorder
-// spilling to path, then appends the telemetry op spans.
+// spilling to path, then appends the op spans.
 func recordOne(sys sysfactory.System, opts recordOpts, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -156,15 +157,17 @@ func recordOne(sys sysfactory.System, opts recordOpts, path string) error {
 	}
 	defer f.Close()
 
-	rec := telemetry.Enable()
-	defer telemetry.Disable()
+	// The ring keeps every op of the workload: at most a create, a close and
+	// two ops (append + fsync, or create + close) per iteration per thread.
+	col := spans.Enable(spans.Config{RingCap: opts.threads * (2*opts.ops + 2)})
+	defer spans.Disable()
 	tr := pmemtrace.Enable(pmemtrace.Config{Spill: f})
 	defer pmemtrace.Disable()
 
 	if opts.workload == "crash" {
 		err = runCrashWorkload(opts)
 	} else {
-		err = runWorkload(sys, opts, rec)
+		err = runWorkload(sys, opts)
 	}
 	if err != nil {
 		return err
@@ -172,15 +175,31 @@ func recordOne(sys sysfactory.System, opts recordOpts, path string) error {
 	if err := tr.FlushSpill(); err != nil {
 		return err
 	}
-	return pmemtrace.WriteSpansJSONL(f, rec.TraceEvents())
+	return pmemtrace.WriteSpansJSONL(f, opSpans(col.Roots()))
 }
 
-func runWorkload(sys sysfactory.System, opts recordOpts, rec *telemetry.Recorder) error {
+// opSpans converts finished roots into the log's op-span records, ordered
+// by start time, then thread.
+func opSpans(roots []spans.Root) []pmemtrace.OpSpan {
+	out := make([]pmemtrace.OpSpan, len(roots))
+	for i, r := range roots {
+		out[i] = pmemtrace.OpSpan{TID: r.TID, Op: r.Op, Start: r.Start, Dur: r.Dur}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].TID < out[j].TID
+	})
+	return out
+}
+
+func runWorkload(sys sysfactory.System, opts recordOpts) error {
 	in, err := sys.New(opts.deviceMB << 20)
 	if err != nil {
 		return err
 	}
-	wfs := obsfs.Wrap(in.FS, rec)
+	wfs := obsfs.Wrap(in.FS, nil)
 	buf := make([]byte, opts.size)
 	for i := range buf {
 		buf[i] = byte(i)
@@ -411,7 +430,7 @@ func decodeAll[T any](r io.Reader) ([]T, error) {
 	}
 }
 
-func loadLog(path string) ([]pmemtrace.Event, []telemetry.TraceEvent, error) {
+func loadLog(path string) ([]pmemtrace.Event, []pmemtrace.OpSpan, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err

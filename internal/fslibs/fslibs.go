@@ -22,8 +22,8 @@ import (
 	"zofs/internal/logfs"
 	"zofs/internal/mpk"
 	"zofs/internal/nvm"
+	"zofs/internal/obsfs"
 	"zofs/internal/proc"
-	"zofs/internal/series"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 	"zofs/internal/vfs"
@@ -149,32 +149,12 @@ func (l *Lib) guard(th *proc.Thread, err *error) {
 	*err = fmt.Errorf("%w: fault inside FS library: %v", vfs.ErrIO, r)
 }
 
-// trace starts a per-op latency measurement against the thread's virtual
-// clock, returning the closure that records it. Deferred textually before
-// guard so it observes the clock after any fault recovery has been charged —
-// and, for spans, so the root closes after guard has marked it aborted.
-func (l *Lib) trace(th *proc.Thread, op telemetry.Op) func() {
-	return l.traceAt(th, op, "")
-}
-
-// traceAt is trace for path-taking operations: the path's hash is stamped on
-// the root span so traces can be grouped by file without recording names.
-func (l *Lib) traceAt(th *proc.Thread, op telemetry.Op, path string) func() {
-	rec := l.kern.Device().Recorder()
-	sp := spans.FromClock(th.Clk)
-	if rec == nil && sp == nil && series.Active() == nil {
-		return func() {}
-	}
-	rec.Inc(telemetry.CtrDispatchOps)
-	start := th.Clk.Now()
-	sp.Begin(op, spans.PathHash(path), start)
-	return func() {
-		now := th.Clk.Now()
-		rec.Observe(op, now-start)
-		series.ObserveActive(op, start, now-start)
-		rec.TraceOp(th.TID, op, start, now-start)
-		sp.End(now)
-	}
+// trace opens the op's observation (obsfs.Begin) against the device's
+// recorder. Deferred textually before guard so it observes the clock after
+// any fault recovery has been charged — and, for spans, so the root closes
+// after guard has marked it aborted.
+func (l *Lib) trace(th *proc.Thread, op telemetry.Op, path string) func() {
+	return obsfs.Begin(l.kern.Device().Recorder(), th, op, path)
 }
 
 // abs normalizes a path against the CWD into the process's view.
@@ -297,7 +277,7 @@ func (l *Lib) getFD(fd int) (*fdEntry, error) {
 
 // Open opens path, returning the new FD.
 func (l *Lib) Open(th *proc.Thread, path string, flags int, mode coffer.Mode) (fd int, err error) {
-	defer l.traceAt(th, telemetry.OpOpen, path)()
+	defer l.trace(th, telemetry.OpOpen, path)()
 	defer l.guard(th, &err)
 	var h vfs.Handle
 	var finalPath string
@@ -354,7 +334,7 @@ func (l *Lib) Create(th *proc.Thread, path string, mode coffer.Mode) (int, error
 
 // Close releases an FD.
 func (l *Lib) Close(th *proc.Thread, fd int) (err error) {
-	defer l.trace(th, telemetry.OpClose)()
+	defer l.trace(th, telemetry.OpClose, "")()
 	defer l.guard(th, &err)
 	l.mu.Lock()
 	e := l.fds[fd]
@@ -399,7 +379,7 @@ func (l *Lib) Dup2(th *proc.Thread, fd, to int) (int, error) {
 
 // Read reads from the FD's current offset.
 func (l *Lib) Read(th *proc.Thread, fd int, buf []byte) (n int, err error) {
-	defer l.trace(th, telemetry.OpRead)()
+	defer l.trace(th, telemetry.OpRead, "")()
 	defer l.guard(th, &err)
 	e, err := l.getFD(fd)
 	if err != nil {
@@ -418,7 +398,7 @@ func (l *Lib) Read(th *proc.Thread, fd int, buf []byte) (n int, err error) {
 // Write writes at the FD's current offset (or atomically at EOF for
 // O_APPEND FDs).
 func (l *Lib) Write(th *proc.Thread, fd int, buf []byte) (n int, err error) {
-	defer l.trace(th, telemetry.OpWrite)()
+	defer l.trace(th, telemetry.OpWrite, "")()
 	defer l.guard(th, &err)
 	e, err := l.getFD(fd)
 	if err != nil {
@@ -451,7 +431,7 @@ func (l *Lib) Write(th *proc.Thread, fd int, buf []byte) (n int, err error) {
 
 // Pread reads at an explicit offset without moving the FD offset.
 func (l *Lib) Pread(th *proc.Thread, fd int, buf []byte, off int64) (n int, err error) {
-	defer l.trace(th, telemetry.OpRead)()
+	defer l.trace(th, telemetry.OpRead, "")()
 	defer l.guard(th, &err)
 	e, err := l.getFD(fd)
 	if err != nil {
@@ -462,7 +442,7 @@ func (l *Lib) Pread(th *proc.Thread, fd int, buf []byte, off int64) (n int, err 
 
 // Pwrite writes at an explicit offset without moving the FD offset.
 func (l *Lib) Pwrite(th *proc.Thread, fd int, buf []byte, off int64) (n int, err error) {
-	defer l.trace(th, telemetry.OpWrite)()
+	defer l.trace(th, telemetry.OpWrite, "")()
 	defer l.guard(th, &err)
 	e, err := l.getFD(fd)
 	if err != nil {
@@ -512,7 +492,7 @@ func (l *Lib) Lseek(th *proc.Thread, fd int, off int64, whence int) (int64, erro
 
 // Fsync persists an FD (synchronous µFSs make this a no-op).
 func (l *Lib) Fsync(th *proc.Thread, fd int) (err error) {
-	defer l.trace(th, telemetry.OpFsync)()
+	defer l.trace(th, telemetry.OpFsync, "")()
 	defer l.guard(th, &err)
 	e, err := l.getFD(fd)
 	if err != nil {
@@ -523,7 +503,7 @@ func (l *Lib) Fsync(th *proc.Thread, fd int) (err error) {
 
 // Fstat stats an open FD.
 func (l *Lib) Fstat(th *proc.Thread, fd int) (fi vfs.FileInfo, err error) {
-	defer l.trace(th, telemetry.OpStat)()
+	defer l.trace(th, telemetry.OpStat, "")()
 	defer l.guard(th, &err)
 	e, err := l.getFD(fd)
 	if err != nil {
@@ -534,7 +514,7 @@ func (l *Lib) Fstat(th *proc.Thread, fd int) (fi vfs.FileInfo, err error) {
 
 // Ftruncate resizes an open FD.
 func (l *Lib) Ftruncate(th *proc.Thread, fd int, size int64) (err error) {
-	defer l.trace(th, telemetry.OpTruncate)()
+	defer l.trace(th, telemetry.OpTruncate, "")()
 	defer l.guard(th, &err)
 	e, err := l.getFD(fd)
 	if err != nil {
@@ -549,7 +529,7 @@ func (l *Lib) Ftruncate(th *proc.Thread, fd int, size int64) (err error) {
 
 // Stat stats a path (following symlinks).
 func (l *Lib) Stat(th *proc.Thread, path string) (fi vfs.FileInfo, err error) {
-	defer l.traceAt(th, telemetry.OpStat, path)()
+	defer l.trace(th, telemetry.OpStat, path)()
 	defer l.guard(th, &err)
 	err = l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		var e error
@@ -561,7 +541,7 @@ func (l *Lib) Stat(th *proc.Thread, path string) (fi vfs.FileInfo, err error) {
 
 // Mkdir creates a directory.
 func (l *Lib) Mkdir(th *proc.Thread, path string, mode coffer.Mode) (err error) {
-	defer l.traceAt(th, telemetry.OpMkdir, path)()
+	defer l.trace(th, telemetry.OpMkdir, path)()
 	defer l.guard(th, &err)
 	return l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		return fs.Mkdir(th, p, mode)
@@ -570,7 +550,7 @@ func (l *Lib) Mkdir(th *proc.Thread, path string, mode coffer.Mode) (err error) 
 
 // Unlink removes a file.
 func (l *Lib) Unlink(th *proc.Thread, path string) (err error) {
-	defer l.traceAt(th, telemetry.OpUnlink, path)()
+	defer l.trace(th, telemetry.OpUnlink, path)()
 	defer l.guard(th, &err)
 	return l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		return fs.Unlink(th, p)
@@ -579,7 +559,7 @@ func (l *Lib) Unlink(th *proc.Thread, path string) (err error) {
 
 // Rmdir removes an empty directory.
 func (l *Lib) Rmdir(th *proc.Thread, path string) (err error) {
-	defer l.traceAt(th, telemetry.OpRmdir, path)()
+	defer l.trace(th, telemetry.OpRmdir, path)()
 	defer l.guard(th, &err)
 	return l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		return fs.Rmdir(th, p)
@@ -588,7 +568,7 @@ func (l *Lib) Rmdir(th *proc.Thread, path string) (err error) {
 
 // Rename moves a file or directory.
 func (l *Lib) Rename(th *proc.Thread, oldPath, newPath string) (err error) {
-	defer l.traceAt(th, telemetry.OpRename, oldPath)()
+	defer l.trace(th, telemetry.OpRename, oldPath)()
 	defer l.guard(th, &err)
 	np, inMount := l.resolve(newPath)
 	if !inMount {
@@ -601,7 +581,7 @@ func (l *Lib) Rename(th *proc.Thread, oldPath, newPath string) (err error) {
 
 // Chmod changes permission bits.
 func (l *Lib) Chmod(th *proc.Thread, path string, mode coffer.Mode) (err error) {
-	defer l.traceAt(th, telemetry.OpChmod, path)()
+	defer l.trace(th, telemetry.OpChmod, path)()
 	defer l.guard(th, &err)
 	return l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		return fs.Chmod(th, p, mode)
@@ -610,7 +590,7 @@ func (l *Lib) Chmod(th *proc.Thread, path string, mode coffer.Mode) (err error) 
 
 // Chown changes ownership.
 func (l *Lib) Chown(th *proc.Thread, path string, uid, gid uint32) (err error) {
-	defer l.traceAt(th, telemetry.OpChown, path)()
+	defer l.trace(th, telemetry.OpChown, path)()
 	defer l.guard(th, &err)
 	return l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		return fs.Chown(th, p, uid, gid)
@@ -619,7 +599,7 @@ func (l *Lib) Chown(th *proc.Thread, path string, uid, gid uint32) (err error) {
 
 // Symlink creates a symbolic link.
 func (l *Lib) Symlink(th *proc.Thread, target, link string) (err error) {
-	defer l.traceAt(th, telemetry.OpSymlink, link)()
+	defer l.trace(th, telemetry.OpSymlink, link)()
 	defer l.guard(th, &err)
 	return l.dispatch(th, link, func(fs vfs.FileSystem, p string) error {
 		return fs.Symlink(th, target, p)
@@ -628,7 +608,7 @@ func (l *Lib) Symlink(th *proc.Thread, target, link string) (err error) {
 
 // Readlink reads a symlink's target.
 func (l *Lib) Readlink(th *proc.Thread, path string) (target string, err error) {
-	defer l.traceAt(th, telemetry.OpReadlink, path)()
+	defer l.trace(th, telemetry.OpReadlink, path)()
 	defer l.guard(th, &err)
 	err = l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		var e error
@@ -640,7 +620,7 @@ func (l *Lib) Readlink(th *proc.Thread, path string) (target string, err error) 
 
 // ReadDir lists a directory.
 func (l *Lib) ReadDir(th *proc.Thread, path string) (ents []vfs.DirEntry, err error) {
-	defer l.traceAt(th, telemetry.OpReadDir, path)()
+	defer l.trace(th, telemetry.OpReadDir, path)()
 	defer l.guard(th, &err)
 	err = l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		var e error
@@ -652,7 +632,7 @@ func (l *Lib) ReadDir(th *proc.Thread, path string) (ents []vfs.DirEntry, err er
 
 // Truncate resizes a file by path.
 func (l *Lib) Truncate(th *proc.Thread, path string, size int64) (err error) {
-	defer l.traceAt(th, telemetry.OpTruncate, path)()
+	defer l.trace(th, telemetry.OpTruncate, path)()
 	defer l.guard(th, &err)
 	return l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
 		return fs.Truncate(th, p, size)

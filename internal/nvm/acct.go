@@ -10,9 +10,10 @@ import (
 // Byte-flow accounting: an optional per-device ledger that attributes every
 // issued write byte to the byte-class carried by the issuing thread's clock
 // (see simclock.Clock.SetWriteClass) and maintains per-page write/flush
-// counters — the wear heatmap. Disabled (the default) it costs one atomic
-// pointer load and a predicted branch per write, mirroring the telemetry
-// recorder's nil-sink discipline.
+// counters — the wear heatmap. The device's observe call (observe.go) is its
+// only writer. Disabled (the default) it costs one atomic pointer load and a
+// predicted branch per access, mirroring the telemetry recorder's nil-sink
+// discipline.
 
 // acctState is one accounting interval's counters. A fresh state is
 // installed on enable/reset so readers never race a partial zeroing.
@@ -43,9 +44,6 @@ func newAcctState(pages int64) *acctState {
 // with zeroed counters.
 func (d *Device) EnableAccounting() { d.acct.Store(newAcctState(d.Pages())) }
 
-// DisableAccounting stops byte-flow accounting and drops the counters.
-func (d *Device) DisableAccounting() { d.acct.Store(nil) }
-
 // ResetAccounting zeroes the ledger if accounting is enabled (no-op
 // otherwise).
 func (d *Device) ResetAccounting() {
@@ -66,8 +64,8 @@ func (d *Device) AddAppBytes(n int64) {
 	if d == nil {
 		return
 	}
-	if a := d.acct.Load(); a != nil && n > 0 {
-		a.app.Add(n)
+	if n > 0 {
+		d.observe(nil, access{kind: accAppBytes, n: n})
 	}
 }
 
@@ -79,75 +77,6 @@ func clkClass(clk *simclock.Clock) byteflow.Class {
 		return byteflow.ClassOther
 	}
 	return c
-}
-
-// acctWrite records one issued write of n bytes at off. persisted marks the
-// nt-store family (persistent at issue); fenced marks writes that fold a
-// trailing fence in.
-func (d *Device) acctWrite(clk *simclock.Clock, off, n int64, persisted, fenced bool) {
-	d.acctWriteClass(clkClass(clk), off, n, persisted, fenced)
-}
-
-// acctWriteClass is acctWrite with the byte class resolved by the caller —
-// the ledger path for clock-less stores that still belong to a named class
-// (Store64Class).
-func (d *Device) acctWriteClass(cls byteflow.Class, off, n int64, persisted, fenced bool) {
-	a := d.acct.Load()
-	if a == nil || n <= 0 {
-		return
-	}
-	if int(cls) >= byteflow.NumClasses {
-		cls = byteflow.ClassOther
-	}
-	a.total.Add(n)
-	a.issued[cls].Add(n)
-	if persisted {
-		a.nt[cls].Add(n)
-	}
-	if fenced {
-		a.fences.Add(1)
-	}
-	for pg := off / PageSize; pg <= (off+n-1)/PageSize; pg++ {
-		a.pageWrites[pg].Add(1)
-		lo, hi := pg*PageSize, (pg+1)*PageSize
-		if off > lo {
-			lo = off
-		}
-		if off+n < hi {
-			hi = off + n
-		}
-		a.pageBytes[pg].Add(hi - lo)
-	}
-}
-
-// acctFlush records one Flush over [off, off+n): the flushed cache lines
-// are charged to the issuing thread's class and the touched pages' flush
-// counters.
-func (d *Device) acctFlush(clk *simclock.Clock, off, n int64) {
-	a := d.acct.Load()
-	if a == nil {
-		return
-	}
-	a.lines[clkClass(clk)].Add(lines(off, n))
-	a.flush.Add(1)
-	a.fences.Add(1)
-	for pg := off / PageSize; pg <= (off+max64(n, 1)-1)/PageSize; pg++ {
-		a.pageFlushes[pg].Add(1)
-	}
-}
-
-// acctFence records a bare Fence.
-func (d *Device) acctFence() {
-	if a := d.acct.Load(); a != nil {
-		a.fences.Add(1)
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FlowSnapshot copies the ledger into a byteflow.Flow. Returns nil when

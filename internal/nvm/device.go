@@ -29,7 +29,6 @@ import (
 	"zofs/internal/perfmodel"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
-	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 )
 
@@ -161,13 +160,6 @@ func (d *Device) Recorder() *telemetry.Recorder { return d.rec }
 // load images attach after construction; nil detaches).
 func (d *Device) SetRecorder(r *telemetry.Recorder) { d.rec = r }
 
-// Tracer returns the device's persistence flight recorder; nil means event
-// tracing is off.
-func (d *Device) Tracer() *pmemtrace.Recorder { return d.tr }
-
-// SetTracer attaches a flight recorder to an existing device (nil detaches).
-func (d *Device) SetTracer(t *pmemtrace.Recorder) { d.tr = t }
-
 // UID returns a process-unique identity for this device. Registries that
 // outlive individual devices key on the UID rather than the pointer so a
 // discarded device (and its lazily materialized chunks) can be collected.
@@ -233,12 +225,8 @@ func (d *Device) copyIn(off int64, buf []byte) {
 // SetConcurrency informs the cost model of the number of threads actively
 // writing, applying the Optane write-bandwidth degradation factor.
 func (d *Device) SetConcurrency(n int) {
-	f := perfmodel.WriteBWDegradation(n)
-	d.writeBW.SetDegradation(f)
-	if f < 1 {
-		d.rec.Inc(telemetry.CtrNVMDegradeEvents)
-	}
-	d.rec.Max(telemetry.GaugeWriteConcurrency, int64(n))
+	d.writeBW.SetDegradation(perfmodel.WriteBWDegradation(n))
+	d.observe(nil, access{kind: accWriters, n: int64(n)})
 }
 
 // check panics (like a machine check / SIGSEGV) on out-of-range access.
@@ -274,14 +262,8 @@ func lines(off, n int64) int64 {
 func (d *Device) Read(clk *simclock.Clock, off int64, buf []byte) {
 	n := int64(len(buf))
 	d.check(off, n)
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.NVMReadLatency)
-		d.readBW.TransferUnqueued(clk, int(n))
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, n, 0, 0, 0)
-	}
-	d.rec.Inc(telemetry.CtrNVMReads)
-	d.rec.Add(telemetry.CtrNVMBytesRead, n)
+	ns := charge(clk, perfmodel.NVMReadLatency, d.readBW, n, false)
+	d.observe(clk, access{kind: accRead, off: off, n: n, ns: ns})
 	d.copyOut(off, buf)
 }
 
@@ -316,14 +298,8 @@ func (d *Device) ReadView(clk *simclock.Clock, off, n int64) ([]byte, bool) {
 	if !viewSpan(off, n) {
 		return nil, false
 	}
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.NVMReadLatency)
-		d.readBW.TransferUnqueued(clk, int(n))
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, n, 0, 0, 0)
-	}
-	d.rec.Inc(telemetry.CtrNVMReads)
-	d.rec.Add(telemetry.CtrNVMBytesRead, n)
+	ns := charge(clk, perfmodel.NVMReadLatency, d.readBW, n, false)
+	d.observe(clk, access{kind: accRead, off: off, n: n, ns: ns})
 	c := d.chunkFor(off, false)
 	if c == nil {
 		c = zeroChunk
@@ -361,21 +337,8 @@ func (d *Device) WriteView(clk *simclock.Clock, off, n int64) (buf []byte, commi
 		return nil, nil, false
 	}
 	pp := d.persistPoint(clk)
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.NVMWriteLatency + perfmodel.NTStoreExtra)
-		if n < smallWrite {
-			d.writeBW.TransferUnqueued(clk, int(n))
-		} else {
-			d.writeBW.Transfer(clk, int(n))
-		}
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, 0, n, 0, 1)
-	}
-	d.rec.Inc(telemetry.CtrNVMNTStores)
-	d.rec.Inc(telemetry.CtrNVMFences)
-	d.rec.Add(telemetry.CtrNVMBytesWritten, n)
-	d.acctWrite(clk, off, n, true, true)
-	d.tr.Record(d.uid, clk, pmemtrace.KindNTStore, off, n)
+	ns := charge(clk, perfmodel.NVMWriteLatency+perfmodel.NTStoreExtra, d.writeBW, n, true)
+	d.observe(clk, access{kind: accNTStore, cls: clkClass(clk), off: off, n: n, ns: ns})
 	c := d.chunkFor(off, true)
 	co := off % chunkBytes
 	commit = func() {
@@ -402,7 +365,6 @@ func (d *Device) saveDirty(off, n int64) {
 		}
 		s.mu.Unlock()
 	}
-	d.rec.Max(telemetry.GaugeDirtyLinesHWM, d.dirtyCount.Load())
 }
 
 // clearDirty marks every line in [off,off+n) persisted.
@@ -447,7 +409,7 @@ func (d *Device) armed(n int64, before bool) bool {
 }
 
 func (d *Device) injectCrash(clk *simclock.Clock, n int64) {
-	d.tr.Record(d.uid, clk, pmemtrace.KindCrashInject, 0, n)
+	d.observe(clk, access{kind: accCrashInject, n: n})
 	panic(crashSentinel{writes: n})
 }
 
@@ -457,18 +419,11 @@ func (d *Device) injectCrash(clk *simclock.Clock, n int64) {
 func (d *Device) Write(clk *simclock.Clock, off int64, data []byte) {
 	n := int64(len(data))
 	d.check(off, n)
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.CachedWriteRFO)
-		d.readBW.TransferUnqueued(clk, int(n))
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, 0, 0, 0, 0)
-	}
-	d.rec.Inc(telemetry.CtrNVMCachedWrites)
-	d.acctWrite(clk, off, n, false, false)
-	d.tr.Record(d.uid, clk, pmemtrace.KindStore, off, n)
+	ns := charge(clk, perfmodel.CachedWriteRFO, d.readBW, n, false)
 	if d.track {
 		d.saveDirty(off, n)
 	}
+	d.observe(clk, access{kind: accStore, cls: clkClass(clk), off: off, n: n, ns: ns})
 	d.copyIn(off, data)
 }
 
@@ -496,21 +451,8 @@ func (d *Device) writeNT(clk *simclock.Clock, cls byteflow.Class, off int64, dat
 	n := int64(len(data))
 	d.check(off, n)
 	pp := d.persistPoint(clk)
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.NVMWriteLatency + perfmodel.NTStoreExtra)
-		if n < smallWrite {
-			d.writeBW.TransferUnqueued(clk, int(n))
-		} else {
-			d.writeBW.Transfer(clk, int(n))
-		}
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, 0, n, 0, 1)
-	}
-	d.rec.Inc(telemetry.CtrNVMNTStores)
-	d.rec.Inc(telemetry.CtrNVMFences) // WriteNT folds the trailing fence in
-	d.rec.Add(telemetry.CtrNVMBytesWritten, n)
-	d.acctWriteClass(cls, off, n, true, true)
-	d.tr.Record(d.uid, clk, pmemtrace.KindNTStore, off, n)
+	ns := charge(clk, perfmodel.NVMWriteLatency+perfmodel.NTStoreExtra, d.writeBW, n, true)
+	d.observe(clk, access{kind: accNTStore, cls: cls, off: off, n: n, ns: ns})
 	d.copyIn(off, data)
 	if d.track {
 		d.clearDirty(off, n)
@@ -523,22 +465,9 @@ func (d *Device) writeNT(clk *simclock.Clock, cls byteflow.Class, off int64, dat
 func (d *Device) Flush(clk *simclock.Clock, off, n int64) {
 	d.check(off, n)
 	pp := d.persistPoint(clk)
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(lines(off, n)*perfmodel.CLWBCost + perfmodel.FenceCost + perfmodel.NVMWriteLatency)
-		if n < smallWrite {
-			d.writeBW.TransferUnqueued(clk, int(n))
-		} else {
-			d.writeBW.Transfer(clk, int(n))
-		}
-		spans.BillNVM(clk, spans.CompFlush, clk.Now()-t0, 0, n, 1, 1)
-	}
-	d.rec.Inc(telemetry.CtrNVMFlushes)
-	d.rec.Inc(telemetry.CtrNVMFences)
-	d.rec.Add(telemetry.CtrNVMCLWBLines, lines(off, n))
-	d.rec.Add(telemetry.CtrNVMBytesWritten, n)
-	d.acctFlush(clk, off, n)
-	d.tr.Record(d.uid, clk, pmemtrace.KindFlush, off, n)
+	lat := lines(off, n)*perfmodel.CLWBCost + perfmodel.FenceCost + perfmodel.NVMWriteLatency
+	ns := charge(clk, lat, d.writeBW, n, true)
+	d.observe(clk, access{kind: accFlush, cls: clkClass(clk), off: off, n: n, ns: ns})
 	if d.track {
 		d.clearDirty(off, n)
 	}
@@ -548,14 +477,8 @@ func (d *Device) Flush(clk *simclock.Clock, off, n int64) {
 // Fence charges a store fence without persisting anything further (WriteNT
 // and Flush already fold persistence in).
 func (d *Device) Fence(clk *simclock.Clock) {
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.FenceCost)
-		spans.BillNVM(clk, spans.CompFlush, clk.Now()-t0, 0, 0, 0, 1)
-	}
-	d.rec.Inc(telemetry.CtrNVMFences)
-	d.acctFence()
-	d.tr.Record(d.uid, clk, pmemtrace.KindFence, 0, 0)
+	ns := charge(clk, perfmodel.FenceCost, nil, 0, false)
+	d.observe(clk, access{kind: accFence, ns: ns})
 }
 
 // Zero writes zeros over the range with non-temporal stores. Scrubbing is
@@ -575,17 +498,8 @@ func (d *Device) ZeroClass(clk *simclock.Clock, cls byteflow.Class, off, n int64
 func (d *Device) zero(clk *simclock.Clock, cls byteflow.Class, off, n int64) {
 	d.check(off, n)
 	pp := d.persistPoint(clk)
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.NVMWriteLatency)
-		d.writeBW.TransferUnqueued(clk, int(n))
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, 0, n, 0, 0)
-	}
-	d.rec.Inc(telemetry.CtrNVMNTStores)
-	d.rec.Add(telemetry.CtrNVMZeroBytes, n)
-	d.rec.Add(telemetry.CtrNVMBytesWritten, n)
-	d.acctWriteClass(cls, off, n, true, false)
-	d.tr.Record(d.uid, clk, pmemtrace.KindZero, off, n)
+	ns := charge(clk, perfmodel.NVMWriteLatency, d.writeBW, n, false)
+	d.observe(clk, access{kind: accZero, cls: cls, off: off, n: n, ns: ns})
 	for rem := n; rem > 0; {
 		c := d.chunkFor(off, false)
 		co := off % chunkBytes
@@ -612,9 +526,8 @@ func (d *Device) Load64(clk *simclock.Clock, off int64) uint64 {
 		panic(Fault{Off: off, Len: 8, Cause: "unaligned atomic load"})
 	}
 	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.NVMReadLatency)
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, 8, 0, 0, 0)
+		ns := charge(clk, perfmodel.NVMReadLatency, nil, 0, false)
+		d.observe(clk, access{kind: accRead, off: off, n: 8, ns: ns})
 	}
 	c := d.chunkFor(off, false)
 	if c == nil {
@@ -630,35 +543,30 @@ func (d *Device) Load64(clk *simclock.Clock, off int64) uint64 {
 // Store64 atomically writes an 8-byte word with persistence (ntstore+fence
 // semantics) — the atomic building block of ZoFS's ordered metadata updates.
 func (d *Device) Store64(clk *simclock.Clock, off int64, v uint64) {
-	d.store64(clk, clkClass(clk), off, v)
+	d.store64(clk, clkClass(clk), off, v, true)
 }
 
-// Store64Class is Store64 with an explicit ledger byte class. It exists for
-// clock-less store paths whose media cost is bulk-charged by the caller
-// (zofs free-list chaining charges one batched NVMWriteLatency+fence for n
-// chained stores): passing a clock here would double-bill the time, but the
-// bytes still belong to a named class rather than the `other` residual.
-func (d *Device) Store64Class(cls byteflow.Class, off int64, v uint64) {
-	d.store64(nil, cls, off, v)
+// Store64Class is Store64 with an explicit ledger byte class, for store
+// paths whose media cost the caller bulk-charges (zofs free-list chaining
+// charges one batched NVMWriteLatency+fence for n chained stores). It never
+// advances clk — that would double-bill the batched time — but reports the
+// store on it, so the bytes and fence reach the op's span and the event
+// carries the thread's time and origin. A nil clk is allowed.
+func (d *Device) Store64Class(clk *simclock.Clock, cls byteflow.Class, off int64, v uint64) {
+	d.store64(clk, cls, off, v, false)
 }
 
-func (d *Device) store64(clk *simclock.Clock, cls byteflow.Class, off int64, v uint64) {
+func (d *Device) store64(clk *simclock.Clock, cls byteflow.Class, off int64, v uint64, charged bool) {
 	d.check(off, 8)
 	if off%8 != 0 {
 		panic(Fault{Off: off, Len: 8, Cause: "unaligned atomic store"})
 	}
 	pp := d.persistPoint(clk)
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.NVMWriteLatency + perfmodel.FenceCost)
-		d.writeBW.TransferUnqueued(clk, 8)
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, 0, 8, 0, 1)
+	var ns int64
+	if charged {
+		ns = charge(clk, perfmodel.NVMWriteLatency+perfmodel.FenceCost, d.writeBW, 8, false)
 	}
-	d.rec.Inc(telemetry.CtrNVMNTStores)
-	d.rec.Inc(telemetry.CtrNVMFences)
-	d.rec.Add(telemetry.CtrNVMBytesWritten, 8)
-	d.acctWriteClass(cls, off, 8, true, true)
-	d.tr.Record(d.uid, clk, pmemtrace.KindStore64, off, 8)
+	d.observe(clk, access{kind: accStore64, cls: cls, off: off, n: 8, ns: ns})
 	c := d.chunkFor(off, true)
 	mu := &d.casMu[(off/8)%lockStripes]
 	mu.Lock()
@@ -677,17 +585,14 @@ func (d *Device) CAS64(clk *simclock.Clock, off int64, old, new uint64) bool {
 	if off%8 != 0 {
 		panic(Fault{Off: off, Len: 8, Cause: "unaligned CAS"})
 	}
-	if clk != nil {
-		t0 := clk.Now()
-		clk.Advance(perfmodel.NVMWriteLatency + perfmodel.FenceCost)
-		spans.BillNVM(clk, spans.CompMedia, clk.Now()-t0, 0, 8, 0, 1)
-	}
+	ns := charge(clk, perfmodel.NVMWriteLatency+perfmodel.FenceCost, nil, 0, false)
 	c := d.chunkFor(off, true)
 	mu := &d.casMu[(off/8)%lockStripes]
 	mu.Lock()
 	cur := binary.LittleEndian.Uint64(c[off%chunkBytes:])
 	if cur != old {
 		mu.Unlock()
+		d.observe(clk, access{kind: accCASFailed, off: off, n: 8, ns: ns})
 		return false
 	}
 	// Failed CASes are not persistence points, so the store is numbered
@@ -701,11 +606,7 @@ func (d *Device) CAS64(clk *simclock.Clock, off int64, old, new uint64) bool {
 	}
 	binary.LittleEndian.PutUint64(c[off%chunkBytes:], new)
 	mu.Unlock()
-	d.rec.Inc(telemetry.CtrNVMNTStores)
-	d.rec.Inc(telemetry.CtrNVMFences)
-	d.rec.Add(telemetry.CtrNVMBytesWritten, 8)
-	d.acctWrite(clk, off, 8, true, true)
-	d.tr.Record(d.uid, clk, pmemtrace.KindCAS, off, 8)
+	d.observe(clk, access{kind: accCAS, cls: clkClass(clk), off: off, n: 8, ns: ns})
 	if d.track {
 		d.clearDirty(off, 8)
 	}
@@ -759,7 +660,7 @@ func (d *Device) CrashMediated(fate func(line int64) LineFate) CrashOutcome {
 	if !d.track {
 		panic("nvm: Crash on a device with TrackPersistence off would silently keep unflushed stores; create crash-test devices with TrackPersistence: true")
 	}
-	d.tr.Record(d.uid, nil, pmemtrace.KindCrash, 0, d.dirtyCount.Load())
+	d.observe(nil, access{kind: accCrash, n: d.dirtyCount.Load()})
 	var out CrashOutcome
 	buf := make([]byte, LineSize)
 	for i := range d.dirty {

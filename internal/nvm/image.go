@@ -46,7 +46,15 @@ func (d *Device) SaveImage(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadImage reads a device image saved by SaveImage.
+// MaxImageSize caps the device size an image header may declare: 1 TiB,
+// whose chunk table LoadImage allocates up front (2 MiB) before it reads a
+// single chunk.
+const MaxImageSize = 1 << 40
+
+// LoadImage reads a device image saved by SaveImage. Images are untrusted
+// input: a header whose size is not positive, not page-aligned or above
+// MaxImageSize, a chunk index out of range and a truncated stream are
+// errors, never panics.
 func LoadImage(r io.Reader) (*Device, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hdr := make([]byte, 24)
@@ -56,11 +64,14 @@ func LoadImage(r io.Reader) (*Device, error) {
 	if binary.LittleEndian.Uint64(hdr[0:]) != imageMagic {
 		return nil, fmt.Errorf("nvm: not a device image")
 	}
-	size := int64(binary.LittleEndian.Uint64(hdr[8:]))
+	size := binary.LittleEndian.Uint64(hdr[8:])
+	if size == 0 || size%PageSize != 0 || size > MaxImageSize {
+		return nil, fmt.Errorf("nvm: image device size %d invalid (want a positive multiple of %d up to %d)", size, PageSize, int64(MaxImageSize))
+	}
 	if cb := binary.LittleEndian.Uint64(hdr[16:]); cb != chunkBytes {
 		return nil, fmt.Errorf("nvm: image chunk size %d unsupported", cb)
 	}
-	d := New(Config{Size: size, TrackPersistence: true})
+	d := New(Config{Size: int64(size), TrackPersistence: true})
 	var idx [8]byte
 	for {
 		if _, err := io.ReadFull(br, idx[:]); err != nil {

@@ -74,3 +74,31 @@ func TestImageRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
+
+// FuzzLoadImage feeds arbitrary bytes to LoadImage, the parser behind
+// zofs-fsck, zofs-shell and zofs-obs df: it must return an error, never
+// panic, and a device it does accept must survive a save/load round trip.
+// Seeds (testdata/fuzz/FuzzLoadImage) cover a valid tiny image, sizes of
+// zero and below zero, a truncated chunk and an out-of-range chunk index.
+func FuzzLoadImage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := LoadImage(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if d.Size() <= 0 || d.Size()%PageSize != 0 || d.Size() > MaxImageSize {
+			t.Fatalf("accepted device size %d", d.Size())
+		}
+		var buf bytes.Buffer
+		if err := d.SaveImage(&buf); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := LoadImage(&buf)
+		if err != nil {
+			t.Fatalf("reload of a saved image: %v", err)
+		}
+		if d2.Size() != d.Size() {
+			t.Fatalf("reload size %d, want %d", d2.Size(), d.Size())
+		}
+	})
+}

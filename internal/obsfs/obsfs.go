@@ -1,10 +1,10 @@
 // Package obsfs wraps a vfs.FileSystem with observability: every operation
-// is counted, its simulated latency histogrammed, appended to the calling
-// thread's op-trace ring, and bracketed by a causal root span so lower-layer
-// costs are attributed to it. The benchmark harness uses it to observe
-// workloads that drive a file system directly through the vfs interface
-// (FxMark, Filebench), bypassing the FSLibs dispatcher and its
-// instrumentation.
+// is counted, its simulated latency histogrammed, and bracketed by a causal
+// root span so lower-layer costs are attributed to it. Its Begin is the one
+// operation boundary of the stack; the FSLibs dispatcher calls it too. The
+// benchmark harness uses the wrapper to observe workloads that drive a file
+// system directly through the vfs interface (FxMark, Filebench), bypassing
+// the FSLibs dispatcher.
 //
 // The wrapper is transparent for correctness but not for type identity:
 // harness code that type-asserts on the concrete file system must wrap only
@@ -72,21 +72,25 @@ func Wrap(fs vfs.FileSystem, rec *telemetry.Recorder) vfs.FileSystem {
 // Unwrap returns the wrapped file system (tooling, type assertions).
 func (f *FS) Unwrap() vfs.FileSystem { return f.inner }
 
-// begin opens the op's root span and returns the closure recording its
-// completion. The closure is meant to run deferred so the span closes (and
-// the latency is recorded) even when the inner op panics — injected crashes
-// unwind through here, which is what keeps spans leak-free across crash
-// tests.
-func (f *FS) begin(th *proc.Thread, op telemetry.Op, path string) func() {
+// Begin is the one operation boundary of the stack, shared by this wrapper
+// and the FSLibs dispatcher. It opens the op's root span and returns the
+// closure that closes it, counts the op, and records its latency in rec's
+// histogram and the windowed series. The closure is meant to run deferred
+// so the span closes (and the latency is recorded) even when the op panics
+// — injected crashes unwind through here, which is what keeps spans
+// leak-free across crash tests. With every observer off it returns a no-op.
+func Begin(rec *telemetry.Recorder, th *proc.Thread, op telemetry.Op, path string) func() {
+	sp, ser := spans.FromClock(th.Clk), series.Active()
+	if rec == nil && sp == nil && ser == nil {
+		return func() {}
+	}
 	start := th.Clk.Now()
-	sp := spans.FromClock(th.Clk)
 	sp.Begin(op, spans.PathHash(path), start)
 	return func() {
 		now := th.Clk.Now()
-		f.rec.Inc(telemetry.CtrDispatchOps)
-		f.rec.Observe(op, now-start)
-		series.ObserveActive(op, start, now-start)
-		f.rec.TraceOp(th.TID, op, start, now-start)
+		rec.Inc(telemetry.CtrDispatchOps)
+		rec.Observe(op, now-start)
+		ser.Observe(op, start, now-start)
 		sp.End(now)
 	}
 }
@@ -94,7 +98,7 @@ func (f *FS) begin(th *proc.Thread, op telemetry.Op, path string) func() {
 func (f *FS) Name() string { return f.inner.Name() }
 
 func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle, error) {
-	defer f.begin(th, telemetry.OpCreate, path)()
+	defer Begin(f.rec, th, telemetry.OpCreate, path)()
 	h, err := f.inner.Create(th, path, mode)
 	if err != nil {
 		return h, err
@@ -103,7 +107,7 @@ func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle,
 }
 
 func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
-	defer f.begin(th, telemetry.OpOpen, path)()
+	defer Begin(f.rec, th, telemetry.OpOpen, path)()
 	h, err := f.inner.Open(th, path, flags)
 	if err != nil {
 		return h, err
@@ -112,57 +116,57 @@ func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
 }
 
 func (f *FS) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
-	defer f.begin(th, telemetry.OpMkdir, path)()
+	defer Begin(f.rec, th, telemetry.OpMkdir, path)()
 	return f.inner.Mkdir(th, path, mode)
 }
 
 func (f *FS) Unlink(th *proc.Thread, path string) error {
-	defer f.begin(th, telemetry.OpUnlink, path)()
+	defer Begin(f.rec, th, telemetry.OpUnlink, path)()
 	return f.inner.Unlink(th, path)
 }
 
 func (f *FS) Rmdir(th *proc.Thread, path string) error {
-	defer f.begin(th, telemetry.OpRmdir, path)()
+	defer Begin(f.rec, th, telemetry.OpRmdir, path)()
 	return f.inner.Rmdir(th, path)
 }
 
 func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
-	defer f.begin(th, telemetry.OpRename, oldPath)()
+	defer Begin(f.rec, th, telemetry.OpRename, oldPath)()
 	return f.inner.Rename(th, oldPath, newPath)
 }
 
 func (f *FS) Stat(th *proc.Thread, path string) (vfs.FileInfo, error) {
-	defer f.begin(th, telemetry.OpStat, path)()
+	defer Begin(f.rec, th, telemetry.OpStat, path)()
 	return f.inner.Stat(th, path)
 }
 
 func (f *FS) Chmod(th *proc.Thread, path string, mode coffer.Mode) error {
-	defer f.begin(th, telemetry.OpChmod, path)()
+	defer Begin(f.rec, th, telemetry.OpChmod, path)()
 	return f.inner.Chmod(th, path, mode)
 }
 
 func (f *FS) Chown(th *proc.Thread, path string, uid, gid uint32) error {
-	defer f.begin(th, telemetry.OpChown, path)()
+	defer Begin(f.rec, th, telemetry.OpChown, path)()
 	return f.inner.Chown(th, path, uid, gid)
 }
 
 func (f *FS) Symlink(th *proc.Thread, target, link string) error {
-	defer f.begin(th, telemetry.OpSymlink, link)()
+	defer Begin(f.rec, th, telemetry.OpSymlink, link)()
 	return f.inner.Symlink(th, target, link)
 }
 
 func (f *FS) Readlink(th *proc.Thread, path string) (string, error) {
-	defer f.begin(th, telemetry.OpReadlink, path)()
+	defer Begin(f.rec, th, telemetry.OpReadlink, path)()
 	return f.inner.Readlink(th, path)
 }
 
 func (f *FS) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
-	defer f.begin(th, telemetry.OpReadDir, path)()
+	defer Begin(f.rec, th, telemetry.OpReadDir, path)()
 	return f.inner.ReadDir(th, path)
 }
 
 func (f *FS) Truncate(th *proc.Thread, path string, size int64) error {
-	defer f.begin(th, telemetry.OpTruncate, path)()
+	defer Begin(f.rec, th, telemetry.OpTruncate, path)()
 	return f.inner.Truncate(th, path, size)
 }
 
@@ -173,19 +177,19 @@ type handle struct {
 }
 
 func (h *handle) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
-	defer h.fs.begin(th, telemetry.OpRead, "")()
+	defer Begin(h.fs.rec, th, telemetry.OpRead, "")()
 	return h.inner.ReadAt(th, p, off)
 }
 
 func (h *handle) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
-	defer h.fs.begin(th, telemetry.OpWrite, "")()
+	defer Begin(h.fs.rec, th, telemetry.OpWrite, "")()
 	n, err := h.inner.WriteAt(th, p, off)
 	h.fs.dev.AddAppBytes(int64(n))
 	return n, err
 }
 
 func (h *handle) Append(th *proc.Thread, p []byte) (int64, error) {
-	defer h.fs.begin(th, telemetry.OpAppend, "")()
+	defer Begin(h.fs.rec, th, telemetry.OpAppend, "")()
 	off, err := h.inner.Append(th, p)
 	if err == nil {
 		h.fs.dev.AddAppBytes(int64(len(p)))
@@ -194,16 +198,16 @@ func (h *handle) Append(th *proc.Thread, p []byte) (int64, error) {
 }
 
 func (h *handle) Stat(th *proc.Thread) (vfs.FileInfo, error) {
-	defer h.fs.begin(th, telemetry.OpStat, "")()
+	defer Begin(h.fs.rec, th, telemetry.OpStat, "")()
 	return h.inner.Stat(th)
 }
 
 func (h *handle) Sync(th *proc.Thread) error {
-	defer h.fs.begin(th, telemetry.OpFsync, "")()
+	defer Begin(h.fs.rec, th, telemetry.OpFsync, "")()
 	return h.inner.Sync(th)
 }
 
 func (h *handle) Close(th *proc.Thread) error {
-	defer h.fs.begin(th, telemetry.OpClose, "")()
+	defer Begin(h.fs.rec, th, telemetry.OpClose, "")()
 	return h.inner.Close(th)
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"zofs/internal/perfmodel"
-	"zofs/internal/telemetry"
 )
 
 // LineSize is the cacheline granularity at which persistence is audited
@@ -17,8 +16,8 @@ const LineSize = perfmodel.CachelineSize
 const PageSize = perfmodel.PageSize
 
 // LostLine is one cacheline that was dirty — stored but never covered by a
-// flush+fence — when a crash event occurred. Op is the telemetry op-trace
-// span the dirtying store fell inside, when one matches ("" otherwise).
+// flush+fence — when a crash event occurred. Op is the op span the dirtying
+// store fell inside, when one matches ("" otherwise).
 type LostLine struct {
 	Line     int64  `json:"line"`     // byte offset of the line start
 	StoreTS  int64  `json:"store_ts"` // virtual time of the dirtying store
@@ -63,11 +62,11 @@ type Report struct {
 
 // spanIndex answers "which traced op was thread T inside at time ts".
 type spanIndex struct {
-	byTID map[int32][]telemetry.TraceEvent
+	byTID map[int32][]OpSpan
 }
 
-func newSpanIndex(spans []telemetry.TraceEvent) *spanIndex {
-	idx := &spanIndex{byTID: map[int32][]telemetry.TraceEvent{}}
+func newSpanIndex(spans []OpSpan) *spanIndex {
+	idx := &spanIndex{byTID: map[int32][]OpSpan{}}
 	for _, s := range spans {
 		idx.byTID[int32(s.TID)] = append(idx.byTID[int32(s.TID)], s)
 	}
@@ -133,9 +132,9 @@ func (d DirtyLines) Apply(ev Event) {
 
 // Audit replays an event stream through the persistence model and reports
 // lost-update risks, redundant persistence work and epoch shape. spans, when
-// non-nil, are telemetry op-trace events used to attribute findings to file
+// non-nil, are the log's op spans, used to attribute findings to file
 // system operations ("per layer": the op name encodes the issuing layer).
-func Audit(events []Event, spans []telemetry.TraceEvent) *Report {
+func Audit(events []Event, spans []OpSpan) *Report {
 	rep := &Report{
 		RedundantFlushByOp: map[string]int64{},
 		EmptyFenceByOp:     map[string]int64{},

@@ -6,7 +6,6 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
-	"zofs/internal/telemetry"
 )
 
 // commitProtocol runs a miniature two-phase update against a raw device:
@@ -134,14 +133,14 @@ func TestRedundantFlushAndEmptyFence(t *testing.T) {
 	}
 }
 
-// TestAttribution checks that a lost line is attributed to the telemetry op
+// TestAttribution checks that a lost line is attributed to the op
 // span its dirtying store fell inside.
 func TestAttribution(t *testing.T) {
 	events := []pmemtrace.Event{
 		{Seq: 1, TS: 150, Kind: pmemtrace.KindStore, Off: 0, Len: 64, TID: 7, Key: 3},
 		{Seq: 2, TS: 400, Kind: pmemtrace.KindCrash},
 	}
-	spans := []telemetry.TraceEvent{
+	spans := []pmemtrace.OpSpan{
 		{TID: 7, Op: "zofs.append", Start: 100, Dur: 100},
 		{TID: 7, Op: "zofs.create", Start: 300, Dur: 50},
 	}

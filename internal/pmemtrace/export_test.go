@@ -12,13 +12,12 @@ import (
 	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
 	"zofs/internal/spans"
-	"zofs/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixedStream is a deterministic event/op-span pair used by the export tests.
-func fixedStream() ([]pmemtrace.Event, []telemetry.TraceEvent) {
+func fixedStream() ([]pmemtrace.Event, []pmemtrace.OpSpan) {
 	events := []pmemtrace.Event{
 		{Seq: 1, TS: 1000, Kind: pmemtrace.KindStore, Off: 4096, Len: 64, TID: 1, Key: 2},
 		{Seq: 2, TS: 2000, Kind: pmemtrace.KindFlush, Off: 4096, Len: 64, TID: 1, Key: 2},
@@ -30,7 +29,7 @@ func fixedStream() ([]pmemtrace.Event, []telemetry.TraceEvent) {
 		{Seq: 8, TS: 5000, Kind: pmemtrace.KindCrashInject, Len: 4, TID: -1, Key: -1},
 		{Seq: 9, TS: 0, Kind: pmemtrace.KindCrash, Len: 1, TID: -1, Key: -1},
 	}
-	ops := []telemetry.TraceEvent{
+	ops := []pmemtrace.OpSpan{
 		{TID: 1, Op: "zofs.append", Start: 900, Dur: 1200},
 		{TID: 2, Op: "zofs.create", Start: 2400, Dur: 1200},
 	}
@@ -38,7 +37,7 @@ func fixedStream() ([]pmemtrace.Event, []telemetry.TraceEvent) {
 }
 
 // TestChromeGolden pins the Chrome exporter's exact output for a
-// flight-recorder log: telemetry op spans as childless roots, device events
+// flight-recorder log: op spans as childless roots, device events
 // as instants and the dirty-line counter track, with stable field ordering
 // and a well-formed JSON array.
 func TestChromeGolden(t *testing.T) {
@@ -105,7 +104,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := r.FlushSpill(); err != nil {
 		t.Fatal(err)
 	}
-	ops := []telemetry.TraceEvent{{TID: 9, Op: "zofs.write", Start: 100, Dur: 50}}
+	ops := []pmemtrace.OpSpan{{TID: 9, Op: "zofs.write", Start: 100, Dur: 50}}
 	if err := pmemtrace.WriteSpansJSONL(&spill, ops); err != nil {
 		t.Fatal(err)
 	}

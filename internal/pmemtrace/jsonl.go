@@ -5,15 +5,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"zofs/internal/telemetry"
 )
 
 // The JSONL log is a stream of self-contained records, one JSON object per
-// line. Device events carry rec:"ev"; telemetry op-trace spans (appended
-// after the workload so the auditor can attribute events offline) carry
-// rec:"span". Unknown record types are skipped on read, so the format can
-// grow without breaking old tools.
+// line. Device events carry rec:"ev"; op spans (appended after the workload
+// so the auditor can attribute events offline) carry rec:"span". Unknown
+// record types are skipped on read, so the format can grow without breaking
+// old tools.
+
+// OpSpan is one finished file system operation as the log records it: the
+// thread that ran it and its virtual-time extent. zofs-obs trace record
+// writes the finished roots of a spans collector as OpSpans.
+type OpSpan struct {
+	TID   int    `json:"tid"`
+	Op    string `json:"op"`
+	Start int64  `json:"start_ns"`
+	Dur   int64  `json:"dur_ns"`
+}
 
 type jsonlRecord struct {
 	Rec string `json:"rec"`
@@ -62,7 +70,7 @@ func writeEventLine(w io.Writer, ev Event) error {
 }
 
 // WriteJSONL writes events followed by spans as a JSONL log.
-func WriteJSONL(w io.Writer, events []Event, spans []telemetry.TraceEvent) error {
+func WriteJSONL(w io.Writer, events []Event, spans []OpSpan) error {
 	bw := bufio.NewWriter(w)
 	for _, ev := range events {
 		if err := writeEventLine(bw, ev); err != nil {
@@ -75,9 +83,9 @@ func WriteJSONL(w io.Writer, events []Event, spans []telemetry.TraceEvent) error
 	return bw.Flush()
 }
 
-// WriteSpansJSONL appends telemetry op-trace spans to a JSONL log (used
-// after a spill-recorded workload, when the events are already on disk).
-func WriteSpansJSONL(w io.Writer, spans []telemetry.TraceEvent) error {
+// WriteSpansJSONL appends op spans to a JSONL log (used after a
+// spill-recorded workload, when the events are already on disk).
+func WriteSpansJSONL(w io.Writer, spans []OpSpan) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range spans {
 		tid := int32(s.TID)
@@ -94,11 +102,11 @@ func WriteSpansJSONL(w io.Writer, spans []telemetry.TraceEvent) error {
 }
 
 // ReadJSONL parses a JSONL log back into device events and op spans.
-func ReadJSONL(r io.Reader) ([]Event, []telemetry.TraceEvent, error) {
+func ReadJSONL(r io.Reader) ([]Event, []OpSpan, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var events []Event
-	var spans []telemetry.TraceEvent
+	var spans []OpSpan
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -129,7 +137,7 @@ func ReadJSONL(r io.Reader) ([]Event, []telemetry.TraceEvent, error) {
 			if rec.TID != nil {
 				tid = int(*rec.TID)
 			}
-			spans = append(spans, telemetry.TraceEvent{TID: tid, Op: rec.Op, Start: rec.Start, Dur: rec.Dur})
+			spans = append(spans, OpSpan{TID: tid, Op: rec.Op, Start: rec.Start, Dur: rec.Dur})
 		}
 	}
 	if err := sc.Err(); err != nil {

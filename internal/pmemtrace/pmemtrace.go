@@ -91,21 +91,6 @@ func KindFromString(s string) (Kind, bool) {
 	return 0, false
 }
 
-// Persists reports whether the event makes its range durable on its own
-// (the device folds the fence into these operations).
-func (k Kind) Persists() bool {
-	switch k {
-	case KindNTStore, KindStore64, KindCAS, KindZero, KindFlush:
-		return true
-	}
-	return false
-}
-
-// Fences reports whether the event carries store-fence semantics.
-func (k Kind) Fences() bool {
-	return k.Persists() || k == KindFence
-}
-
 // Event is one recorded device event. TID and Key are best-effort origin
 // attribution carried on the issuing thread's clock tag: -1 means unknown
 // (kernel-side access, or an access outside any mapped coffer region).

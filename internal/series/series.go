@@ -167,18 +167,11 @@ func Disable() { active.Store(nil) }
 // Active returns the current process-wide collector, or nil when disabled.
 func Active() *Collector { return active.Load() }
 
-// ObserveActive records one finished operation against the process-wide
-// collector, if any. It is the hook the two op-observation sites
-// (obsfs.begin, fslibs.traceAt) call next to telemetry's Observe, so the
-// windowed stream and the cumulative histograms see the identical sequence.
-func ObserveActive(op telemetry.Op, startNS, durNS int64) {
-	if c := active.Load(); c != nil {
-		c.Observe(op, startNS, durNS)
-	}
-}
-
 // Observe records one finished operation: it lands in the window containing
 // its start time, in the same histogram bucket the telemetry recorder uses.
+// The one op boundary (obsfs.Begin) calls it next to telemetry's Observe, so
+// the windowed stream and the cumulative histograms see the identical
+// sequence.
 func (c *Collector) Observe(op telemetry.Op, startNS, durNS int64) {
 	if c == nil {
 		return

@@ -10,7 +10,6 @@ import (
 
 	"zofs/internal/lockprof"
 	"zofs/internal/pmemtrace"
-	"zofs/internal/telemetry"
 )
 
 // The Chrome trace-event export (chrome://tracing, Perfetto): root spans
@@ -77,9 +76,9 @@ type Timeline struct {
 	Exemplars []Exemplar
 }
 
-// TraceRoots converts telemetry op-trace spans (a pmemtrace log's op
+// TraceRoots converts op spans (a pmemtrace log's op
 // records) into childless roots for the Chrome exporter.
-func TraceRoots(ts []telemetry.TraceEvent) []Root {
+func TraceRoots(ts []pmemtrace.OpSpan) []Root {
 	roots := make([]Root, len(ts))
 	for i, t := range ts {
 		roots[i] = Root{Op: t.Op, TID: t.TID, PKey: -1, Start: t.Start, Dur: t.Dur}

@@ -256,9 +256,10 @@ func (c *ThreadCtx) BillLockWait(ns int64) {
 	c.Bill(CompLock, ns)
 }
 
-// billNVM attributes one device-level access: its virtual time plus the
-// bytes/flush/fence counts the span reports.
-func (c *ThreadCtx) billNVM(comp Component, ns, bytesRead, bytesWritten, flushes, fences int64) {
+// BillNVM attributes one device access to the active span: its virtual
+// time plus the bytes/flush/fence counts the span reports. The device's one
+// observer call (internal/nvm) makes it after advancing the clock.
+func (c *ThreadCtx) BillNVM(comp Component, ns, bytesRead, bytesWritten, flushes, fences int64) {
 	if c == nil || c.depth == 0 {
 		return
 	}
@@ -269,14 +270,6 @@ func (c *ThreadCtx) billNVM(comp Component, ns, bytesRead, bytesWritten, flushes
 	c.cur.BytesWritten += bytesWritten
 	c.cur.Flushes += flushes
 	c.cur.Fences += fences
-}
-
-// BillNVM bills one device access to the span context attached to clk, if
-// any. It is the single hook internal/nvm calls after advancing the clock.
-func BillNVM(clk *simclock.Clock, comp Component, ns, bytesRead, bytesWritten, flushes, fences int64) {
-	if ctx, ok := clk.Bill().(*ThreadCtx); ok {
-		ctx.billNVM(comp, ns, bytesRead, bytesWritten, flushes, fences)
-	}
 }
 
 // Child records a layer-boundary child span inside the active root.

@@ -21,7 +21,7 @@ func TestRootLifecycle(t *testing.T) {
 	}
 	c.Bill(CompMedia, 300)
 	c.Bill(CompLock, 100)
-	c.billNVM(CompFlush, 50, 0, 4096, 1, 1)
+	c.BillNVM(CompFlush, 50, 0, 4096, 1, 1)
 	c.Child("kernfs.coffer_enlarge", 1200, 40)
 	c.SetKey(5)
 	c.End(2000)

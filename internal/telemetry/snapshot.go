@@ -38,7 +38,6 @@ type Snapshot struct {
 	Counters map[string]int64  `json:"counters"`
 	Gauges   map[string]int64  `json:"gauges"`
 	Ops      map[string]OpSnap `json:"ops"`
-	Trace    []TraceEvent      `json:"trace,omitempty"`
 }
 
 // Snapshot captures the recorder's current totals. On a nil recorder it
@@ -69,19 +68,17 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 		s.Ops[op.Name()] = OpSnap{Count: count, SumNS: sum, Buckets: buckets}.finish()
 	}
-	s.Trace = r.traces.all()
 	return s
 }
 
 // Diff returns the activity between prev and s: counters and histograms are
-// subtracted bucket-wise; gauges (high-water marks) and the trace keep s's
-// values, since neither subtracts meaningfully.
+// subtracted bucket-wise; gauges (high-water marks) keep s's values, since
+// they do not subtract meaningfully.
 func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	d := Snapshot{
 		Counters: map[string]int64{},
 		Gauges:   map[string]int64{},
 		Ops:      map[string]OpSnap{},
-		Trace:    s.Trace,
 	}
 	for name, v := range s.Counters {
 		if dv := v - prev.Counters[name]; dv != 0 {

@@ -1,7 +1,8 @@
 // Package telemetry is the observability substrate of the Treasury stack:
-// sharded lock-free counters, simclock-native latency histograms and a
-// bounded per-thread op-trace ring buffer, all behind a near-zero-cost
-// *Recorder handle whose nil value is a valid no-op sink.
+// sharded lock-free counters, gauges and simclock-native latency
+// histograms, all behind a near-zero-cost *Recorder handle whose nil value
+// is a valid no-op sink. It keeps no op trace: the finished-root ring of
+// internal/spans is the one record of individual operations.
 //
 // Every instrumented layer (nvm, proc/mpk, kernfs, zofs, fslibs) reaches its
 // recorder through the owning *nvm.Device, so a single Enable() call before
@@ -146,7 +147,6 @@ type Recorder struct {
 	counters [counterShards]counterShard
 	gauges   [numGauges]atomic.Int64
 	hists    [numOps]histogram
-	traces   traceTable
 }
 
 // New returns an empty enabled recorder.
@@ -241,15 +241,6 @@ func (r *Recorder) Observe(op Op, ns int64) {
 	r.hists[op].observe(ns)
 }
 
-// TraceOp appends one completed operation to the calling thread's bounded
-// trace ring.
-func (r *Recorder) TraceOp(tid int, op Op, startNS, durNS int64) {
-	if r == nil {
-		return
-	}
-	r.traces.record(tid, op, startNS, durNS)
-}
-
 // counterTotal sums a counter across shards, saturating at maxInt64 so a
 // long-lived recorder reports a pinned ceiling instead of a wrapped negative.
 func (r *Recorder) counterTotal(c Counter) int64 {
@@ -260,7 +251,7 @@ func (r *Recorder) counterTotal(c Counter) int64 {
 	return t
 }
 
-// Reset zeroes every counter, gauge, histogram and trace ring.
+// Reset zeroes every counter, gauge and histogram.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -276,5 +267,4 @@ func (r *Recorder) Reset() {
 	for op := range r.hists {
 		r.hists[op].reset()
 	}
-	r.traces.reset()
 }

@@ -14,7 +14,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Add(CtrNVMBytesRead, 42)
 	r.Max(GaugeDirtyLinesHWM, 7)
 	r.Observe(OpRead, 100)
-	r.TraceOp(1, OpRead, 0, 100)
 	r.Reset()
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Ops) != 0 {
@@ -137,30 +136,6 @@ func TestSnapshotDiff(t *testing.T) {
 	}
 }
 
-// TestTraceRingBounded verifies the per-thread ring keeps only the newest
-// ringCap events and the thread table stops growing at maxTracedThreads.
-func TestTraceRingBounded(t *testing.T) {
-	r := New()
-	for i := int64(0); i < 2*ringCap; i++ {
-		r.TraceOp(1, OpRead, i, 1)
-	}
-	evs := r.Snapshot().Trace
-	if len(evs) != ringCap {
-		t.Fatalf("ring holds %d events, want %d", len(evs), ringCap)
-	}
-	if evs[0].Start != ringCap || evs[len(evs)-1].Start != 2*ringCap-1 {
-		t.Errorf("ring kept wrong window: [%d, %d]", evs[0].Start, evs[len(evs)-1].Start)
-	}
-
-	r2 := New()
-	for tid := 0; tid < 2*maxTracedThreads; tid++ {
-		r2.TraceOp(tid, OpRead, int64(tid), 1)
-	}
-	if n := len(r2.Snapshot().Trace); n != maxTracedThreads {
-		t.Errorf("trace table holds %d threads' events, want %d", n, maxTracedThreads)
-	}
-}
-
 func TestSnapshotRenderers(t *testing.T) {
 	r := New()
 	r.Inc(CtrNVMReads)
@@ -222,10 +197,9 @@ func TestReset(t *testing.T) {
 	r.Inc(CtrNVMReads)
 	r.Max(GaugeDirtyLinesHWM, 3)
 	r.Observe(OpRead, 10)
-	r.TraceOp(1, OpRead, 0, 10)
 	r.Reset()
 	s := r.Snapshot()
-	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Ops) != 0 || len(s.Trace) != 0 {
+	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Ops) != 0 {
 		t.Errorf("reset left state: %+v", s)
 	}
 }

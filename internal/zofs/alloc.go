@@ -349,13 +349,12 @@ func (f *FS) pushExtents(th *proc.Thread, ts *threadSlots, slotOff int64, class 
 
 // chainStore performs a checked 8-byte store whose media cost is accounted
 // in bulk by the caller (pushExtents charges one batched latency + fence
-// for the whole run). The store carries no clock — a clock here would
-// double-bill that batched time — but its bytes still book to the alloc
-// class via Store64Class, so free-list chaining no longer lands in the
-// ledger's residual bucket.
+// for the whole run). Store64Class reports the store on the thread's clock
+// without advancing it — charging here would double-bill that batched time —
+// and books its bytes to the alloc class, not the ledger's residual bucket.
 func (f *FS) chainStore(th *proc.Thread, off int64, v uint64) {
 	th.CheckAccess(off, 8, true)
-	f.kern.Device().Store64Class(byteflow.ClassAlloc, off, v)
+	f.kern.Device().Store64Class(th.Clk, byteflow.ClassAlloc, off, v)
 }
 
 // freePage returns a page to the thread's free list — by default the

@@ -50,11 +50,6 @@ type Options struct {
 	// page caching (every page allocation and free updates the persistent
 	// slot free-list chain).
 	CopyPath bool
-	// NoLeaseBatch disables batched inode-lease renewal: every unlock
-	// CAS-clears the lease word and every lock re-publishes it, restoring
-	// the two-NVM-writes-per-op discipline (ablation baseline; also used by
-	// tests that assert the word is cleared after each op).
-	NoLeaseBatch bool
 }
 
 func (o *Options) fill() {

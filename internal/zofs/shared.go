@@ -183,7 +183,6 @@ func (f *FS) claimInodeLease(th *proc.Thread, ino int64) (uint8, error) {
 	off := ino*pageSize + inoLeaseOff
 	wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
 	defer th.Clk.SetWriteClass(wprev)
-	batch := !f.opts.NoLeaseBatch
 	var bo *retry.Backoff
 	for {
 		// The lease word of a repeatedly locked inode stays resident in the
@@ -192,7 +191,7 @@ func (f *FS) claimInodeLease(th *proc.Thread, ino int64) (uint8, error) {
 		w := th.Load64Cached(off)
 		tid, epoch, expiry := unpackInoLease(w)
 		now := th.Clk.Now()
-		if batch && w != 0 {
+		if w != 0 {
 			if parked, ok := f.sh.retained.Load(ino); ok && parked.(uint64) == w {
 				if tid == th.TID&0xffff {
 					// Our own parked lease: the batched fast path. Reuse the
@@ -255,11 +254,11 @@ func (f *FS) claimInodeLease(th *proc.Thread, ino int64) (uint8, error) {
 // while we ran (we stalled past expiry), the stealer's word is left intact
 // — clearing it would hand a third writer a lock the stealer still holds.
 //
-// With batching on (the default), a still-live own lease is parked instead
-// of cleared: the word stays in NVM and the retained table records it, so
-// the thread's next lock of the same inode inside the lease window costs no
-// NVM write at all — one renewal per lease window per thread instead of a
-// CAS pair per op (the DWOM hold-time fix).
+// A still-live own lease is parked instead of cleared: the word stays in
+// NVM and the retained table records it, so the thread's next lock of the
+// same inode inside the lease window costs no NVM write at all — one
+// renewal per lease window per thread instead of a CAS pair per op (the
+// DWOM hold-time fix). An expired one is CAS-cleared.
 func (f *FS) unlockInode(th *proc.Thread, m *mount, ino int64, epoch uint8) {
 	f.window(th, m, true)
 	wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
@@ -267,7 +266,7 @@ func (f *FS) unlockInode(th *proc.Thread, m *mount, ino int64, epoch uint8) {
 	w := th.Load64Cached(off) // written by this thread at lock time
 	tid, ep, expiry := unpackInoLease(w)
 	if w != 0 && tid == th.TID&0xffff && uint8(ep) == epoch {
-		if !f.opts.NoLeaseBatch && expiry > th.Clk.Now() {
+		if expiry > th.Clk.Now() {
 			f.sh.retained.Store(ino, w)
 		} else {
 			th.CAS64(off, w, 0)

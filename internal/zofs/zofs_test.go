@@ -671,34 +671,11 @@ func TestCrashDuringCreatesThenFsck(t *testing.T) {
 	}
 }
 
-func TestLeaseWordWrittenAndCleared(t *testing.T) {
-	// NoLeaseBatch: this test pins the unbatched discipline — word written
-	// at lock, CAS-cleared at unlock. The batched default is pinned by
-	// TestLeaseBatchParksAndReuses.
-	_, _, f, th := newTestFS(t, Options{NoLeaseBatch: true})
-	f.Create(th, "/l", 0o644)
-	pos, err := f.walk(th, "/l", true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pos.close()
-	ep, lerr := f.lockInode(th, pos.m, pos.ino)
-	if lerr != nil {
-		t.Fatalf("lockInode: %v", lerr)
-	}
-	if th.Load64(pos.ino*pageSize+inoLeaseOff) == 0 {
-		t.Fatal("lease word not written under lock")
-	}
-	f.unlockInode(th, pos.m, pos.ino, ep)
-	if th.Load64(pos.ino*pageSize+inoLeaseOff) != 0 {
-		t.Fatal("lease word not cleared on unlock")
-	}
-}
-
 func TestLeaseBatchParksAndReuses(t *testing.T) {
-	// Batched lease renewal (the default): unlock parks a still-live word
-	// instead of clearing it, and the next lock by the same thread reuses it
-	// with zero NVM writes inside the first half of the lease window.
+	// Batched lease renewal: lock writes the lease word, unlock parks a
+	// still-live word instead of clearing it, and the next lock by the same
+	// thread reuses it with zero NVM writes inside the first half of the
+	// lease window. Once the window has expired, unlock CAS-clears it.
 	_, _, f, th := newTestFS(t, Options{})
 	f.Create(th, "/b", 0o644)
 	pos, err := f.walk(th, "/b", true, true)
@@ -709,6 +686,9 @@ func TestLeaseBatchParksAndReuses(t *testing.T) {
 	ep, lerr := f.lockInode(th, pos.m, pos.ino)
 	if lerr != nil {
 		t.Fatalf("lockInode: %v", lerr)
+	}
+	if th.Load64(pos.ino*pageSize+inoLeaseOff) == 0 {
+		t.Fatal("lease word not written under lock")
 	}
 	f.unlockInode(th, pos.m, pos.ino, ep)
 	w := th.Load64(pos.ino*pageSize + inoLeaseOff)
@@ -746,7 +726,14 @@ func TestLeaseBatchParksAndReuses(t *testing.T) {
 	if wait := th2.Clk.Now() - before; wait >= leaseDuration/4 {
 		t.Fatalf("parked steal slept %dns — should be immediate", wait)
 	}
+	th2.Clk.Advance(leaseDuration)
 	f.unlockInode(th2, pos.m, pos.ino, ep3)
+	if th2.Load64(pos.ino*pageSize+inoLeaseOff) != 0 {
+		t.Fatal("expired lease word not cleared on unlock")
+	}
+	if _, ok := f.sh.retained.Load(pos.ino); ok {
+		t.Fatal("expired lease parked instead of cleared")
+	}
 }
 
 func TestVariantCostsOrdered(t *testing.T) {

@@ -28,6 +28,10 @@ echo "== fuzz smoke =="
 # record must equal a fresh parse, and a republished table, a sibling
 # directory or the parent of a coffer-root file must parse afresh.
 go test -run '^$' -fuzz '^FuzzResolveReuse$' -fuzztime 10s ./internal/kernfs
+# Device images are untrusted input to zofs-fsck, zofs-shell and zofs-obs df:
+# a corrupt header or chunk record must be an error from nvm.LoadImage,
+# never a panic or an unbounded allocation.
+go test -run '^$' -fuzz '^FuzzLoadImage$' -fuzztime 5s ./internal/nvm
 
 echo "== perfbench build/test =="
 # The benchmark is its own Go module, so the root build and tests skip it;
@@ -36,7 +40,9 @@ echo "== perfbench build/test =="
 
 echo "== trace smoke =="
 # Record one tiny fig7 append cell with the flight recorder on, then gate on
-# the auditor: a crash-free run must have zero lost lines.
+# the auditor: a crash-free run must have zero lost lines, and the log must
+# carry the op spans (the spans collector's finished roots) the auditor
+# attributes events to.
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
 go build -o "$tracedir/zofs-obs" ./cmd/zofs-obs
@@ -44,6 +50,10 @@ obs="$tracedir/zofs-obs"
 "$obs" trace record -workload append -system Ext4-DAX \
     -o "$tracedir/smoke.jsonl" -threads 1 -ops 8 -device-mb 64 >/dev/null
 "$obs" trace audit -max-lost 0 "$tracedir/smoke.jsonl" >/dev/null
+if ! grep -q '"rec":"span"' "$tracedir/smoke.jsonl"; then
+    echo "trace smoke: recorded log carries no op-span records" >&2
+    exit 1
+fi
 
 echo "== neutrality gate =="
 # Observers read virtual clocks and never advance them. The "neutral"
