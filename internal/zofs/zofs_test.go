@@ -671,6 +671,35 @@ func TestCrashDuringCreatesThenFsck(t *testing.T) {
 	}
 }
 
+func TestLeaseWordWrittenAndCleared(t *testing.T) {
+	// Same-thread path: lock writes the lease word; an unlock after the
+	// lease window has expired CAS-clears it rather than parking it. The
+	// parking of a still-live word, and expiry after a steal, are pinned by
+	// TestLeaseBatchParksAndReuses.
+	_, _, f, th := newTestFS(t, Options{})
+	f.Create(th, "/l", 0o644)
+	pos, err := f.walk(th, "/l", true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pos.close()
+	ep, lerr := f.lockInode(th, pos.m, pos.ino)
+	if lerr != nil {
+		t.Fatalf("lockInode: %v", lerr)
+	}
+	if th.Load64(pos.ino*pageSize+inoLeaseOff) == 0 {
+		t.Fatal("lease word not written under lock")
+	}
+	th.Clk.Advance(leaseDuration)
+	f.unlockInode(th, pos.m, pos.ino, ep)
+	if th.Load64(pos.ino*pageSize+inoLeaseOff) != 0 {
+		t.Fatal("expired lease word not cleared on unlock")
+	}
+	if _, ok := f.sh.retained.Load(pos.ino); ok {
+		t.Fatal("expired lease parked instead of cleared")
+	}
+}
+
 func TestLeaseBatchParksAndReuses(t *testing.T) {
 	// Batched lease renewal: lock writes the lease word, unlock parks a
 	// still-live word instead of clearing it, and the next lock by the same
